@@ -21,7 +21,7 @@ from .graphs import (
     causal_past,
     compound_all,
     in_neighborhood,
-    single_root,
+    maximal_runs,
     star,
 )
 
@@ -104,7 +104,7 @@ class MembershipReport:
 
 def check_rooted(seq: GraphSequence) -> list[bool]:
     """Per-round flag: does round r's graph have exactly one root component?"""
-    return [single_root(g) is not None for g in seq]
+    return [root is not None for root in seq.roots]
 
 
 def stable_runs(seq: GraphSequence) -> list[tuple[int, int, frozenset[int]]]:
@@ -112,30 +112,7 @@ def stable_runs(seq: GraphSequence) -> list[tuple[int, int, frozenset[int]]]:
 
     Rounds whose graph is not rooted belong to no run.
     """
-    runs: list[tuple[int, int, frozenset[int]]] = []
-    run_start = 0
-    run_root: frozenset[int] | None = None
-    for r in seq.rounds():
-        root = single_root(seq.graph(r))
-        if root is not None and root == run_root:
-            continue
-        if run_root is not None:
-            runs.append((run_start, r - 1, run_root))
-        run_root = root
-        run_start = r
-    if run_root is not None:
-        runs.append((run_start, len(seq), run_root))
-    return runs
-
-
-def check_stability(seq: GraphSequence, x: int) -> list[tuple[int, int, frozenset[int]]]:
-    """All maximal stable-root runs; the sequence qualifies iff some run >= x.
-
-    The x argument is not used to filter (callers inspect run lengths); it is
-    kept in the signature so reports can record the threshold they checked.
-    """
-    del x
-    return stable_runs(seq)
+    return maximal_runs(seq.roots)
 
 
 def check_diam(seq: GraphSequence, D: int) -> tuple[bool, dict[str, Any] | None]:
@@ -193,23 +170,11 @@ def check_star_window(seq: GraphSequence, y: int) -> list[tuple[int, int, frozen
     out-edge to all other processes. Returns maximal such runs with
     length >= y.
     """
-    windows: list[tuple[int, int, frozenset[int]]] = []
-    run_start = 0
-    run_root: frozenset[int] | None = None
-    for r in seq.rounds():
-        g = seq.graph(r)
-        root = single_root(g)
-        if root is not None and not _is_broadcast_root(g, root):
-            root = None
-        if root is not None and root == run_root:
-            continue
-        if run_root is not None and (r - 1) - run_start + 1 >= y:
-            windows.append((run_start, r - 1, run_root))
-        run_root = root
-        run_start = r
-    if run_root is not None and len(seq) - run_start + 1 >= y:
-        windows.append((run_start, len(seq), run_root))
-    return windows
+    broadcast_roots = (
+        root if root is not None and _is_broadcast_root(g, root) else None
+        for g, root in zip(seq.graphs, seq.roots)
+    )
+    return [(s, e, root) for (s, e, root) in maximal_runs(broadcast_roots) if e - s + 1 >= y]
 
 
 def membership_report(seq: GraphSequence, D: int, x: int) -> MembershipReport:

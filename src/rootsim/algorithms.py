@@ -94,10 +94,6 @@ class LockingConsensus:
             "backoff": backoff,
             "decide_rule": decide_rule,
         }
-        # Estimator memoization, keyed (pid, s). An estimate is final once
-        # it is a set (views only grow, so it never reverts) or once every
-        # process's round-s state is known (no report can appear later).
-        self._root_cache: dict[tuple[int, int], frozenset[int] | None] = {}
 
     def initial_state(self, pid: int, x: int) -> LockState:
         return LockState(proposal=x, locked=True, lockround=1, queue=(), decided=False, decision=None)
@@ -115,24 +111,12 @@ class LockingConsensus:
     def deadline(self, lockround: int) -> int:
         return lockround + self.N * (self.D + 2 * self.N)
 
-    def _estimate(self, view: ProcessView, s: int) -> frozenset[int] | None:
-        if s < 1 or s > view.round:
-            return None
-        key = (view.owner, s)
-        cached = self._root_cache.get(key, False)
-        if cached is not False:
-            return cached  # type: ignore[return-value]
-        result = estimate_root(view, s)
-        if result is not None or min(view.last_heard(q) for q in range(view.n)) >= s:
-            self._root_cache[key] = result
-        return result
-
     def step(self, state: LockState, view: ProcessView, r: int) -> tuple[LockState, frozenset[int] | None]:
         N, D = self.N, self.D
         proposal, locked, lockround, queue, decided, decision = state
         n = view.n
 
-        root = self._estimate(view, r - D)
+        root = estimate_root(view, r - D) if r > D else None
 
         # Recent states: everyone whose fresh-enough state reached us, with
         # all their recorded states inside the N-round lookback.
@@ -155,7 +139,7 @@ class LockingConsensus:
                 t_lo = max(1, max(queue[-1] if queue else 0, lockround) - D)
                 seen: set[frozenset[int]] = set()
                 for i in range(t_lo, r - D + 1):
-                    est = self._estimate(view, i)
+                    est = estimate_root(view, i)
                     if est is not None:
                         seen.add(est)
                         if len(seen) > 1:

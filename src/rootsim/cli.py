@@ -74,6 +74,8 @@ def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
         raise UsageError(f"the size bound N must be >= n, got N={N}, n={n}")
     if not (1 <= D <= max(1, n - 1)):
         raise UsageError(f"need 1 <= D <= n-1, got D={D}")
+    if x < 1:
+        raise UsageError(f"the stable-window length x must be >= 1, got x={x}")
     decide_span = N * (D + 2 * N)
     plan = {"n": n, "N": N, "D": D, "x": x, "decide_span": decide_span, "seed": seed}
     if cfg.get("sequence"):
@@ -89,10 +91,17 @@ def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
         plan.update(seq=seq, window=window)
         plan["horizon"] = int(cfg.get("horizon") or len(seq))
     else:
+        if n < 2:
+            raise UsageError(f"generating a sequence needs n >= 2, got n={n}")
         rng = random.Random(f"window-{seed}")
-        start = int(cfg.get("stability_start") or rng.randint(3, x + n + 2))
+        start = cfg.get("stability_start")
+        start = rng.randint(3, x + n + 2) if start is None else int(start)
+        if start < 3:
+            raise UsageError(f"the stable window starts at round 3 or later, got {start}")
         b = start + x - 1
         horizon = int(cfg.get("horizon") or b + decide_span + 5)
+        if horizon < b:
+            raise UsageError(f"horizon {horizon} ends before the stable window (rounds {start}..{b})")
         spec = adversary.AdversarySpec(
             n=n, D=D, x=x, horizon=horizon, seed=seed, stability_start=start
         )

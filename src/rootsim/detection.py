@@ -13,6 +13,7 @@ window pushes every root member's round-s state to everyone.
 from __future__ import annotations
 
 from .engine import ProcessView
+from .graphs import strongly_connected_components
 
 
 def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[int] | None:
@@ -20,7 +21,8 @@ def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[
 
     Returns a set R iff exactly one set exists whose members' round-s
     receive reports are all known, all contained in R, and strongly
-    connected under the reported edges.
+    connected under the reported edges. Results are memoized in the run's
+    shared `view.memo`.
     """
     if r is None:
         r = view.round
@@ -30,66 +32,27 @@ def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[
         raise ValueError(f"round index must be >= 1, got {s}")
     n = view.n
     reports: list[frozenset[int] | None] = [view.in_report(q, s) for q in range(n)]
-    known = [q for q in range(n) if reports[q] is not None]
+    known = tuple(q for q in range(n) if reports[q] is not None)
     if not known:
         return None
+    # Reports are true in-neighborhoods, identical for every reader, so the
+    # result depends only on s and on whose reports are known.
+    key = (s, known)
+    if key in view.memo:
+        return view.memo[key]
 
-    # Tarjan over the reported subgraph; a member with an unreported
-    # in-neighbor can never belong to a fully-reported closed set.
+    # A member with an unreported in-neighbor can never belong to a
+    # fully-reported closed set, so only reported edges are followed.
     known_set = set(known)
     preds = {q: [u for u in reports[q] if u != q and u in known_set] for q in known}
-
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    candidates: list[frozenset[int]] = []
-
-    for start in known:
-        if start in index:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            plist = preds[v]
-            for i in range(pi, len(plist)):
-                w = plist[i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                if all(reports[q] <= comp for q in comp):  # type: ignore[operator]
-                    candidates.append(frozenset(comp))
-            if work:
-                u, _ = work[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    candidates = [
+        comp
+        for comp in strongly_connected_components(known, preds)
+        if all(reports[q] <= comp for q in comp)  # type: ignore[operator]
+    ]
+    result = candidates[0] if len(candidates) == 1 else None
+    view.memo[key] = result
+    return result
 
 
 def estimate_prev_root(view: ProcessView, r: int | None = None) -> frozenset[int] | None:

@@ -46,10 +46,12 @@ class ProcessView:
     known (NEVER if q was never heard of). The owner's own entry is r-1:
     its round-r state is what the current computation produces. The
     contractual `last_heard` for the owner is nevertheless r, since a
-    process trivially hears itself in every round.
+    process trivially hears itself in every round. `memo` holds the root
+    estimates of detection.estimate_root and is shared by every view of
+    one run.
     """
 
-    __slots__ = ("owner", "round", "n", "lastround", "_states", "_ins", "receive_set")
+    __slots__ = ("owner", "round", "n", "lastround", "_states", "_ins", "receive_set", "memo")
 
     def __init__(
         self,
@@ -59,6 +61,7 @@ class ProcessView:
         states: list[list[Any]],
         ins: list[list[frozenset[int]]],
         receive_set: frozenset[int],
+        memo: dict[Any, frozenset[int] | None],
     ):
         self.owner = owner
         self.round = r
@@ -67,6 +70,7 @@ class ProcessView:
         self._states = states
         self._ins = ins  # ins[s-1][q] = in-neighborhood of q in round s
         self.receive_set = receive_set
+        self.memo = memo
 
     def last_heard(self, q: int) -> int:
         """Largest s with q's round-s state known; r for the owner itself."""
@@ -182,6 +186,7 @@ def run(
     ins_history: list[list[frozenset[int]]] = []
     lastrounds: list[tuple[tuple[int, ...], ...]] = []
     detected_history: list[tuple[frozenset[int] | None, ...]] = []
+    memo: dict[Any, frozenset[int] | None] = {}
 
     for r in range(1, rounds + 1):
         g = seq.graph(r)
@@ -202,7 +207,7 @@ def run(
 
         detected_row: list[frozenset[int] | None] = []
         for p in range(n):
-            view = ProcessView(p, r, merged[p], states, ins_history, ins[p])
+            view = ProcessView(p, r, merged[p], states, ins_history, ins[p], memo)
             try:
                 new_state, detected = algorithm.step(states[p][r - 1], view, r)
             except EngineError:
@@ -231,11 +236,6 @@ def run(
         ins=ins_history,
         trace_fields=algorithm.trace_fields,
     )
-
-
-def last_heard(view: ProcessView, q: int) -> int:
-    """Module-level alias for the view method (part of the public surface)."""
-    return view.last_heard(q)
 
 
 def views_equal_until(exec1: Execution, exec2: Execution, p: int, r: int) -> bool:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from functools import cached_property
+from typing import IO, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Edge = tuple[int, int]
+K = TypeVar("K")
 
 
 class GraphError(ValueError):
@@ -53,42 +55,42 @@ def out_neighborhood(g: CommGraph, p: int) -> frozenset[int]:
     return frozenset(v for (u, v) in g.edges if u == p) | {p}
 
 
-def strongly_connected_components(g: CommGraph) -> list[frozenset[int]]:
-    """All SCCs of g (iterative Tarjan), ignoring implicit self-loops."""
-    n = g.n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        succ[u].append(v)
+def strongly_connected_components(
+    nodes: Iterable[int], succ: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]
+) -> list[frozenset[int]]:
+    """All SCCs of the graph on `nodes` with edges v -> w for w in succ[v].
 
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    Iterative Tarjan. Every successor must itself be one of `nodes`; the
+    graph may be a subgraph of a round graph, indexed by process id.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
     stack: list[int] = []
-    counter = 0
     components: list[frozenset[int]] = []
 
-    for root in range(n):
-        if index[root] != -1:
+    for root in nodes:
+        if root in index:
             continue
         # (node, iterator position) work stack
         work = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
+                index[v] = low[v] = len(index)
                 stack.append(v)
-                on_stack[v] = True
+                on_stack.add(v)
             advanced = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
+            out = succ[v]
+            for i in range(pi, len(out)):
+                w = out[i]
+                if w not in index:
                     work[-1] = (v, i + 1)
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
@@ -96,20 +98,24 @@ def strongly_connected_components(g: CommGraph) -> list[frozenset[int]]:
                 comp = set()
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
+                    on_stack.discard(w)
                     comp.add(w)
                     if w == v:
                         break
                 components.append(frozenset(comp))
             if work:
                 u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if low[v] < low[u]:
+                    low[u] = low[v]
     return components
 
 
 def root_components(g: CommGraph) -> frozenset[frozenset[int]]:
     """All root components of g: SCCs with no in-edge from outside."""
-    comps = strongly_connected_components(g)
+    succ: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        succ[u].append(v)
+    comps = strongly_connected_components(range(g.n), succ)
     member_of: dict[int, frozenset[int]] = {}
     for comp in comps:
         for v in comp:
@@ -204,6 +210,29 @@ class GraphSequence:
 
     def rounds(self) -> range:
         return range(1, len(self.graphs) + 1)
+
+    @cached_property
+    def roots(self) -> tuple[frozenset[int] | None, ...]:
+        """roots[r-1] is single_root of the round-r graph, built on first use."""
+        return tuple(single_root(g) for g in self.graphs)
+
+
+def maximal_runs(keys: Iterable[K | None]) -> list[tuple[int, int, K]]:
+    """Maximal runs (start, end, key) of consecutive equal keys, rounds from 1.
+
+    Rounds whose key is None belong to no run.
+    """
+    runs: list[tuple[int, int, K]] = []
+    start, current, r = 0, None, 0
+    for r, key in enumerate(keys, start=1):
+        if key is not None and key == current:
+            continue
+        if current is not None:
+            runs.append((start, r - 1, current))
+        start, current = r, key
+    if current is not None:
+        runs.append((start, r, current))
+    return runs
 
 
 def causal_past(seq: GraphSequence, p: int, a: int, b: int) -> frozenset[int]:

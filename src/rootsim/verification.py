@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .engine import Execution, views_equal_until
-from .graphs import CommGraph, GraphSequence, causal_past, root_components, single_root
+from .engine import Execution
+from .graphs import CommGraph, GraphSequence, causal_past, maximal_runs, root_components
 
 
 @dataclass
@@ -109,24 +109,16 @@ def track_v_locked_windows(exec_: Execution) -> list[tuple[int, int, int]]:
     A round qualifies if its graph is rooted and every root member's
     end-of-round state has locked = True with one common proposal v.
     """
-    windows: list[tuple[int, int, int]] = []
-    run_start, run_value = 0, None
-    for r in range(1, exec_.rounds + 1):
-        root = single_root(exec_.seq.graph(r))
+    values: list[int | None] = []
+    for r, root in enumerate(exec_.seq.roots[: exec_.rounds], start=1):
         value: int | None = None
         if root is not None:
             states = [exec_.state(q, r) for q in root]
             proposals = {st.proposal for st in states}
             if all(st.locked for st in states) and len(proposals) == 1:
                 (value,) = proposals
-        if value is not None and value == run_value:
-            continue
-        if run_value is not None:
-            windows.append((run_start, r - 1, run_value))
-        run_value, run_start = value, r
-    if run_value is not None:
-        windows.append((run_start, exec_.rounds, run_value))
-    return windows
+        values.append(value)
+    return maximal_runs(values)
 
 
 def check_locked_root_convergence(exec_: Execution, D: int, N: int) -> list[dict[str, Any]]:
@@ -227,11 +219,11 @@ def check_detection_soundness(exec_: Execution, D: int) -> list[dict[str, Any]]:
     failures = []
     for r in range(1, exec_.rounds + 1):
         s = r - D
+        true_root = exec_.seq.roots[s - 1] if s >= 1 else None
         for p in range(exec_.n):
             est = exec_.detected[r - 1][p]
             if est is None:
                 continue
-            true_root = single_root(exec_.seq.graph(s)) if s >= 1 else None
             lastround = exec_.lastrounds[r - 1][p]
             known = all(q == p or lastround[q] >= s for q in est)
             if est != true_root or not known:
@@ -274,13 +266,6 @@ def check_detection_completeness(
     return failures
 
 
-def check_indistinguishability(
-    exec1: Execution, exec2: Execution, p: int, through: int
-) -> bool:
-    """Does p experience both executions identically through the given round?"""
-    return views_equal_until(exec1, exec2, p, through)
-
-
 def check_information_propagation(graphs: list[CommGraph], X: set[int]) -> bool:
     """Any set hitting every root influences everyone within n rooted rounds.
 
@@ -295,12 +280,10 @@ def check_information_propagation(graphs: list[CommGraph], X: set[int]) -> bool:
     if len(graphs) != n:
         raise ValueError(f"need exactly {n} graphs for {n} processes, got {len(graphs)}")
     seq = GraphSequence(n, tuple(graphs))
-    roots = []
-    for r, g in enumerate(graphs, start=1):
-        root = single_root(g)
+    roots = seq.roots
+    for r, root in enumerate(roots, start=1):
         if root is None:
             raise ValueError(f"graph at position {r} is not rooted")
-        roots.append(root)
         if not X & root:
             raise ValueError(f"X misses the root of the graph at position {r}")
     for p in range(n):

@@ -9,13 +9,13 @@ from rootsim.adversary import (
     check_diam,
     check_nonsplit,
     check_rooted,
-    check_stability,
     check_star_window,
     compound_sequence,
     generate_rooted,
     generate_stable,
     membership_report,
     scenario,
+    stable_runs,
 )
 from rootsim.graphs import CommGraph, GraphSequence, causal_past, compound, is_rooted, single_root, star
 
@@ -35,11 +35,11 @@ class TestCheckers:
 
     def test_stability_constant_star(self):
         seq = GraphSequence(3, (star(0, 3),) * 5)
-        assert check_stability(seq, 5) == [(1, 5, frozenset({0}))]
+        assert stable_runs(seq) == [(1, 5, frozenset({0}))]
 
     def test_stability_alternating_has_no_window(self):
         seq = GraphSequence(3, (star(0, 3), star(1, 3)) * 3)
-        assert all(e - s + 1 < 2 for (s, e, _) in check_stability(seq, 2))
+        assert all(e - s + 1 < 2 for (s, e, _) in stable_runs(seq))
 
     def test_diam_max_diameter_always_ok(self):
         rng = random.Random(2)
@@ -132,7 +132,7 @@ class TestGenerateStable:
     def test_designated_window_is_first(self):
         spec = AdversarySpec(n=4, D=2, x=3, horizon=60, seed=9)
         seq, (a, b, root) = generate_stable(spec)
-        runs = [w for w in check_stability(seq, 3) if w[1] - w[0] + 1 >= 3]
+        runs = [w for w in stable_runs(seq) if w[1] - w[0] + 1 >= 3]
         assert runs[0] == (a, b, root)
         # No earlier run reaches length x.
         for (s, e, _) in adversary.stable_runs(seq):
@@ -185,7 +185,7 @@ class TestScenarios:
         D, n, tau = 2, 12, 6
         seq = scenario("indist-b", n=n, D=D, tau=tau, horizon=tau + 5)
         assert all(check_rooted(seq))
-        runs = check_stability(seq, 2 * D - 1)
+        runs = stable_runs(seq)
         assert any(s == tau + 1 and e - s + 1 >= 2 * D - 1 for (s, e, _) in runs)
 
     def test_indist_pair_validates_for_relaxed_adversary(self):

@@ -48,9 +48,9 @@ class TestLockingBasics:
         assert verdict.ok
         plan_seq = exec_.seq
         # Recover the designated window from the sequence itself.
-        from rootsim.adversary import check_stability
+        from rootsim.adversary import stable_runs
 
-        (a, b, root) = next(w for w in check_stability(plan_seq, 3) if w[1] - w[0] + 1 >= 3)
+        (a, b, root) = next(w for w in stable_runs(plan_seq) if w[1] - w[0] + 1 >= 3)
         v = max(exec_.state(q, a).proposal for q in root)
         for p in range(4):
             st = exec_.state(p, b)
@@ -67,6 +67,17 @@ class TestLockingBasics:
             }
             assert len(decisions) == 1
             assert decisions <= set(exec_.inputs)
+
+    def test_instance_reusable_across_runs(self):
+        # An algorithm instance holds only parameters: a second run on
+        # another sequence traces exactly as it does on a fresh instance.
+        first = cli._plan_locking({"n": 4, "D": 2}, 3)["seq"]
+        second = cli._plan_locking({"n": 4, "D": 2}, 4)["seq"]
+        inputs = [0, 1, 0, 1]
+        algo = LockingConsensus(N=4, D=2)
+        run(algo, inputs, first)
+        reused = run(algo, inputs, second)
+        assert reused.trace_hash() == run(LockingConsensus(N=4, D=2), inputs, second).trace_hash()
 
 
 class TestDecideRule:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rootsim import cli
+from rootsim import cli, graphs
 from rootsim.cli import main
 from rootsim.graphs import read_jsonl
 
@@ -39,6 +39,23 @@ class TestRun:
 
     def test_voting_run(self):
         assert main(["run", "--algorithm", "voting", "--n", "3", "--seed", "0"]) == 0
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "1"],
+            ["run", "--n", "3", "--x", "0"],
+            ["run", "--n", "3", "--stability-start", "1"],
+            ["run", "--n", "3", "--stability-start", "0"],
+            ["sweep", "--n", "3", "--trials", "2", "--horizon", "4"],
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestSweep:
@@ -143,3 +160,19 @@ class TestDerivedConstants:
                 )
                 offsets.append(first - second_graph)
         assert max(offsets) == cli.VOTING_DECISION_OFFSET
+
+
+def test_run_once_computes_each_round_root_once(monkeypatch):
+    # Generation, its validation, the engine and the checkers all read the
+    # sequence's roots, which are computed once per round.
+    graphs_seen = []
+    original = graphs.root_components
+
+    def counting(g):
+        graphs_seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "root_components", counting)
+    exec_, verdict = cli.run_once({"algorithm": "locking", "n": 4, "D": 2}, 3)
+    assert verdict.ok
+    assert len(graphs_seen) == len(exec_.seq)

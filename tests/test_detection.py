@@ -6,6 +6,7 @@ from rootsim.detection import estimate_prev_root, estimate_root
 from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, single_root, star
 from rootsim.adversary import AdversarySpec, generate_stable, generate_rooted
+from rootsim.verification import brute_force_roots
 
 from conftest import Probe, random_sequence
 
@@ -90,8 +91,6 @@ class TestSoundness:
     def test_unrooted_graphs_never_fabricate(self):
         # On arbitrary (possibly multi-root) graphs, a Known estimate must
         # still be a genuinely closed strongly connected set.
-        from rootsim.verification import brute_force_roots
-
         for seed in range(10):
             rng = random.Random(1000 + seed)
             seq = random_sequence(rng, 4, 6, density=0.15)
@@ -130,3 +129,31 @@ class TestMonotonicity:
                             assert cur == known, (p, s, r)
                         elif cur is not None:
                             known = cur
+
+
+def unmemoized_estimate(view, s):
+    """The estimate by exhaustive search: the unique closed, strongly
+    connected set of processes whose round-s reports the view can read."""
+    known = {q for q in range(view.n) if view.in_report(q, s) is not None}
+    reported = CommGraph.make(view.n, {(u, q) for q in known for u in view.in_report(q, s)})
+    found = [R for R in brute_force_roots(reported) if R <= known]
+    return found[0] if len(found) == 1 else None
+
+
+class TestMemo:
+    def test_memoized_estimates_match_unmemoized(self):
+        # The run's shared memo serves every view whose known reports match;
+        # on multi-root sequences a wrong key would hand one view another's
+        # answer.
+        for seed in range(10):
+            rng = random.Random(1000 + seed)
+            seq = random_sequence(rng, 4, 6, density=0.15)
+            mismatches = []
+
+            def hook(state, view, r):
+                for s in range(1, r + 1):
+                    if estimate_root(view, s) != unmemoized_estimate(view, s):
+                        mismatches.append((view.owner, s, r))
+
+            run(Probe(hook), list(range(seq.n)), seq)
+            assert not mismatches, seed

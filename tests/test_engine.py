@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from rootsim import engine
 from rootsim.engine import NEVER, EngineError, run, views_equal_until
 from rootsim.graphs import CommGraph, GraphSequence, causal_past, star
 
@@ -66,12 +65,12 @@ class TestLastHeard:
         run(Probe(hook), [0, 1], GraphSequence(2, tuple(graphs)))
         assert seen == {"last_heard_0": 2, "last_heard_self": 5}
 
-    def test_module_alias(self):
+    def test_owner_hears_itself_in_round_one(self):
         captured = {}
 
         def hook(state, view, r):
             if view.owner == 0 and r == 1:
-                captured["val"] = engine.last_heard(view, 0)
+                captured["val"] = view.last_heard(0)
 
         run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),)))
         assert captured["val"] == 1

@@ -106,6 +106,17 @@ class TestRootComponents:
         graph = g(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         assert brute_force_roots(graph) == root_components(graph)
 
+    def test_sequence_roots_match_brute_force(self):
+        # roots[r-1] is round r's single root component, or None when the
+        # round has several; sparse graphs make the multi-root case common.
+        for seed in range(20):
+            rng = random.Random(seed)
+            seq = random_sequence(rng, rng.randint(1, 5), 8, density=rng.uniform(0.05, 0.5))
+            assert len(seq.roots) == len(seq)
+            for r, graph in enumerate(seq.graphs, start=1):
+                expected = brute_force_roots(graph)
+                assert seq.roots[r - 1] == (next(iter(expected)) if len(expected) == 1 else None)
+
 
 class TestCompound:
     def test_identity_is_neutral(self):

@@ -2,13 +2,12 @@ import pytest
 
 from rootsim import cli, verification
 from rootsim.algorithms import LockingConsensus, LockState
-from rootsim.engine import Execution, run
+from rootsim.engine import Execution, run, views_equal_until
 from rootsim.graphs import CommGraph, GraphSequence, star
 from rootsim.verification import (
     brute_force_roots,
     check_agreement_stability,
     check_consensus,
-    check_indistinguishability,
     check_information_propagation,
     track_v_locked_windows,
 )
@@ -124,8 +123,8 @@ class TestIndistinguishability:
         seq = GraphSequence(2, (g(2, [(0, 1)]),) * 3)
         e1 = run(Probe(), [0, 1], seq)
         e2 = run(Probe(), [0, 1], seq)
-        assert check_indistinguishability(e1, e2, 0, 3)
-        assert check_indistinguishability(e1, e2, 1, 3)
+        assert views_equal_until(e1, e2, 0, 3)
+        assert views_equal_until(e1, e2, 1, 3)
 
 
 class TestInformationPropagation:
