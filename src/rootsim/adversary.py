@@ -20,7 +20,6 @@ from .graphs import (
     GraphSequence,
     causal_past,
     compound_all,
-    in_neighborhood,
     maximal_runs,
     star,
 )
@@ -145,8 +144,7 @@ def check_nonsplit(seq: GraphSequence) -> tuple[bool, tuple[int, int, int] | Non
     Returns (ok, first (round, p, q) violation or None).
     """
     for r in seq.rounds():
-        g = seq.graph(r)
-        ins = [in_neighborhood(g, p) for p in range(seq.n)]
+        ins = seq.graph(r).ins
         for p in range(seq.n):
             for q in range(p + 1, seq.n):
                 if not ins[p] & ins[q]:
@@ -156,11 +154,8 @@ def check_nonsplit(seq: GraphSequence) -> tuple[bool, tuple[int, int, int] | Non
 
 def _is_broadcast_root(g: CommGraph, root: frozenset[int]) -> bool:
     """Does every root member have an edge to every other process?"""
-    out: dict[int, set[int]] = {p: {p} for p in root}
-    for u, v in g.edges:
-        if u in root:
-            out[u].add(v)
-    return all(len(out[p]) == g.n for p in root)
+    root_mask = sum(1 << p for p in root)
+    return all(m & root_mask == root_mask for m in g.ins)
 
 
 def check_star_window(seq: GraphSequence, y: int) -> list[tuple[int, int, frozenset[int]]]:
@@ -250,33 +245,31 @@ def _random_rooted_graph(
     ever points from outside the root into it (closedness). With
     `broadcast`, every root member additionally reaches everyone directly.
     """
-    edges: set[tuple[int, int]] = set()
+    ins = [1 << v for v in range(n)]
     members = sorted(root)
     if len(members) > 1:
         ring = members[:]
         rng.shuffle(ring)
         for i, u in enumerate(ring):
-            edges.add((u, ring[(i + 1) % len(ring)]))
+            ins[ring[(i + 1) % len(ring)]] |= 1 << u
         for u in members:
             for v in members:
                 if u != v and rng.random() < density:
-                    edges.add((u, v))
+                    ins[v] |= 1 << u
     rest = [p for p in range(n) if p not in root]
     rng.shuffle(rest)
     reachable = members[:]
     for v in rest:
-        edges.add((rng.choice(reachable), v))
+        ins[v] |= 1 << rng.choice(reachable)
         reachable.append(v)
     for u in range(n):
         for v in rest:
             if u != v and rng.random() < density:
-                edges.add((u, v))
+                ins[v] |= 1 << u
     if broadcast:
-        for u in members:
-            for v in range(n):
-                if u != v:
-                    edges.add((u, v))
-    return CommGraph(n, frozenset(edges))
+        root_mask = sum(1 << p for p in root)
+        ins = [m | root_mask for m in ins]
+    return CommGraph.from_ins(ins)
 
 
 def _pick_window_start(spec: AdversarySpec, rng: random.Random) -> int:
@@ -348,7 +341,7 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
                 if tries > 200:
                     raise GenerationError("cannot draw a round-2 root")
             g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
-            g = CommGraph(n, g.edges | frozenset((anchor, v) for v in range(n) if v != anchor))
+            g = CommGraph.from_ins([m | 1 << anchor for m in g.ins])
         elif in_window:
             root = window_root
             g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))

@@ -244,7 +244,7 @@ class VotingConsensus:
         proposal, vote, decided, decision = state
         messages = {
             q: (view.state(q, r - 1).vote, view.state(q, r - 1).proposal)
-            for q in view.receive_set
+            for q in view.in_report(view.owner, r)
         }
         prev_root = estimate_root(view, r - 1) if r >= 2 else None
 

@@ -12,6 +12,7 @@ import json
 import random
 import statistics
 import sys
+import traceback
 from typing import Any
 
 from . import adversary, engine, verification
@@ -61,6 +62,14 @@ def _resolve_inputs(cfg: dict[str, Any], n: int, seed: int) -> list[int]:
     raise UsageError(f"inputs must be 'random-binary' or a list of {n} integers")
 
 
+def _horizon(cfg: dict[str, Any], default: int) -> int:
+    """The configured horizon, or `default` when none is set."""
+    horizon = default if cfg.get("horizon") is None else int(cfg["horizon"])
+    if horizon < 1:
+        raise UsageError(f"the horizon must be >= 1, got {horizon}")
+    return horizon
+
+
 def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
     """Fill in derived run parameters for the locking algorithm."""
     try:
@@ -89,7 +98,7 @@ def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
         runs = adversary.stable_runs(seq)
         window = next(((s, e, root) for (s, e, root) in runs if e - s + 1 >= x), None)
         plan.update(seq=seq, window=window)
-        plan["horizon"] = int(cfg.get("horizon") or len(seq))
+        plan["horizon"] = _horizon(cfg, len(seq))
     else:
         if n < 2:
             raise UsageError(f"generating a sequence needs n >= 2, got n={n}")
@@ -99,7 +108,7 @@ def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
         if start < 3:
             raise UsageError(f"the stable window starts at round 3 or later, got {start}")
         b = start + x - 1
-        horizon = int(cfg.get("horizon") or b + decide_span + 5)
+        horizon = _horizon(cfg, b + decide_span + 5)
         if horizon < b:
             raise UsageError(f"horizon {horizon} ends before the stable window (rounds {start}..{b})")
         spec = adversary.AdversarySpec(
@@ -145,8 +154,7 @@ def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verif
     if n < 2:
         raise UsageError("the voting algorithm needs n >= 2")
     stable_len = 3 * (n - 1)
-    horizon = int(cfg.get("horizon") or (stable_len + 6 * (n - 1)))
-    horizon -= horizon % (n - 1)
+    horizon = _horizon(cfg, stable_len + 6 * (n - 1))
     if cfg.get("sequence"):
         try:
             with open(cfg["sequence"]) as fh:
@@ -154,6 +162,9 @@ def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verif
         except (OSError, GraphError) as exc:
             raise UsageError(f"cannot load sequence: {exc}") from exc
     else:
+        if horizon < stable_len:
+            raise UsageError(f"horizon {horizon} is shorter than the {stable_len}-round stable window")
+        horizon -= horizon % (n - 1)
         base, _ = adversary.generate_rooted(n, horizon, seed, stable_len=stable_len)
     compound = adversary.compound_sequence(base)
     inputs = _resolve_inputs(cfg, n, seed)
@@ -219,8 +230,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed = base_seed + i
         try:
             exec_, verdict = run_once(cfg, seed)
-        except (adversary.GenerationError, engine.EngineError) as exc:
-            crashes.append({"seed": seed, "error": str(exc)})
+        except UsageError:
+            raise
+        except Exception as exc:
+            print(f"seed {seed} crashed:", file=sys.stderr)
+            traceback.print_exc()
+            crashes.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
             continue
         if verdict.ok:
             passed += 1

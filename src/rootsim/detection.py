@@ -13,7 +13,7 @@ window pushes every root member's round-s state to everyone.
 from __future__ import annotations
 
 from .engine import ProcessView
-from .graphs import strongly_connected_components
+from .graphs import members, root_masks
 
 
 def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[int] | None:
@@ -30,9 +30,8 @@ def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[
         raise ValueError(f"cannot estimate round {s} from round {r}")
     if s < 1:
         raise ValueError(f"round index must be >= 1, got {s}")
-    n = view.n
-    reports: list[frozenset[int] | None] = [view.in_report(q, s) for q in range(n)]
-    known = tuple(q for q in range(n) if reports[q] is not None)
+    reports = [view.in_report_mask(q, s) for q in range(view.n)]
+    known = sum(1 << q for q, report in enumerate(reports) if report is not None)
     if not known:
         return None
     # Reports are true in-neighborhoods, identical for every reader, so the
@@ -41,16 +40,12 @@ def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[
     if key in view.memo:
         return view.memo[key]
 
-    # A member with an unreported in-neighbor can never belong to a
-    # fully-reported closed set, so only reported edges are followed.
-    known_set = set(known)
-    preds = {q: [u for u in reports[q] if u != q and u in known_set] for q in known}
-    candidates = [
-        comp
-        for comp in strongly_connected_components(known, preds)
-        if all(reports[q] <= comp for q in comp)  # type: ignore[operator]
-    ]
-    result = candidates[0] if len(candidates) == 1 else None
+    # Root components of the report graph, where a process with an unknown
+    # report hears nobody: it is a singleton root of its own, and any
+    # process that reports hearing it lies in no fully-reported root.
+    ins = [(1 << q) if report is None else report for q, report in enumerate(reports)]
+    candidates = [m for m in root_masks(ins) if not m & ~known]
+    result = frozenset(members(candidates[0])) if len(candidates) == 1 else None
     view.memo[key] = result
     return result
 

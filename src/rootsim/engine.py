@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol
 
-from .graphs import GraphSequence, in_neighborhood
+from .graphs import CommGraph, GraphSequence, members
 
 NEVER = -1
 
@@ -51,7 +51,7 @@ class ProcessView:
     one run.
     """
 
-    __slots__ = ("owner", "round", "n", "lastround", "_states", "_ins", "receive_set", "memo")
+    __slots__ = ("owner", "round", "n", "lastround", "_states", "_graphs", "memo")
 
     def __init__(
         self,
@@ -59,8 +59,7 @@ class ProcessView:
         r: int,
         lastround: list[int],
         states: list[list[Any]],
-        ins: list[list[frozenset[int]]],
-        receive_set: frozenset[int],
+        graphs: tuple[CommGraph, ...],
         memo: dict[Any, frozenset[int] | None],
     ):
         self.owner = owner
@@ -68,8 +67,7 @@ class ProcessView:
         self.n = len(lastround)
         self.lastround = lastround
         self._states = states
-        self._ins = ins  # ins[s-1][q] = in-neighborhood of q in round s
-        self.receive_set = receive_set
+        self._graphs = graphs  # graphs[s-1] is the round-s graph
         self.memo = memo
 
     def last_heard(self, q: int) -> int:
@@ -105,12 +103,13 @@ class ProcessView:
         A round-s report travels inside q's round-s state; additionally the
         owner knows its own current receive set before computing.
         """
-        if s < 1:
-            return None
-        if q == self.owner and s == self.round:
-            return self.receive_set
-        if s <= self.last_state_round(q):
-            return self._ins[s - 1][q]
+        mask = self.in_report_mask(q, s)
+        return None if mask is None else frozenset(members(mask))
+
+    def in_report_mask(self, q: int, s: int) -> int | None:
+        """in_report as an in-neighbour bit mask."""
+        if 1 <= s <= (self.round if q == self.owner else self.lastround[q]):
+            return self._graphs[s - 1].ins[q]
         return None
 
 
@@ -125,7 +124,6 @@ class Execution:
     states: list[list[Any]]  # states[p][s], s = 0..rounds
     lastrounds: list[tuple[tuple[int, ...], ...]]  # [r-1][p] post-round vector
     detected: list[tuple[frozenset[int] | None, ...]]  # [r-1][p]
-    ins: list[list[frozenset[int]]]  # [r-1][q]
     trace_fields: Callable[[Any], dict[str, Any]]
 
     @property
@@ -183,22 +181,17 @@ def run(
     for p in range(n):
         lr[p][p] = 0
 
-    ins_history: list[list[frozenset[int]]] = []
     lastrounds: list[tuple[tuple[int, ...], ...]] = []
     detected_history: list[tuple[frozenset[int] | None, ...]] = []
     memo: dict[Any, frozenset[int] | None] = {}
 
     for r in range(1, rounds + 1):
-        g = seq.graph(r)
-        ins = [in_neighborhood(g, p) for p in range(n)]
-        ins_history.append(ins)
+        ins = seq.graph(r).ins
 
         merged: list[list[int]] = []
         for p in range(n):
             row = lr[p][:]
-            for q in ins[p]:
-                if q == p:
-                    continue
+            for q in members(ins[p] & ~(1 << p)):
                 other = lr[q]
                 for i in range(n):
                     if other[i] > row[i]:
@@ -207,7 +200,7 @@ def run(
 
         detected_row: list[frozenset[int] | None] = []
         for p in range(n):
-            view = ProcessView(p, r, merged[p], states, ins_history, ins[p], memo)
+            view = ProcessView(p, r, merged[p], states, seq.graphs, memo)
             try:
                 new_state, detected = algorithm.step(states[p][r - 1], view, r)
             except EngineError:
@@ -233,7 +226,6 @@ def run(
         states=states,
         lastrounds=lastrounds,
         detected=detected_history,
-        ins=ins_history,
         trace_fields=algorithm.trace_fields,
     )
 
@@ -257,12 +249,12 @@ def views_equal_until(exec1: Execution, exec2: Execution, p: int, r: int) -> boo
         row2 = exec2.lastrounds[t - 1][p]
         if row1 != row2:
             return False
-        if exec1.ins[t - 1][p] != exec2.ins[t - 1][p]:
+        if exec1.seq.graphs[t - 1].ins[p] != exec2.seq.graphs[t - 1].ins[p]:
             return False
         for q in range(n):
             for s in range(0, row1[q] + 1):
                 if exec1.states[q][s] != exec2.states[q][s]:
                     return False
-                if s >= 1 and exec1.ins[s - 1][q] != exec2.ins[s - 1][q]:
+                if s >= 1 and exec1.seq.graphs[s - 1].ins[q] != exec2.seq.graphs[s - 1].ins[q]:
                     return False
     return True

@@ -1,8 +1,9 @@
 """Directed communication graphs and round sequences.
 
-Graphs are over a dense process id space 0..n-1. Self-loops are never
-stored: every process always hears itself, so the loop (p, p) is implied
-in every graph and all operations account for it.
+Graphs are over a dense process id space 0..n-1 and are stored as
+in-neighbour bit masks. Every process always hears itself, so its own bit
+is set in its mask and the loop (p, p) is implied in every graph; the
+derived edge set never lists it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Iterable, Iterator, Sequence, TypeVar
 
 Edge = tuple[int, int]
 K = TypeVar("K")
@@ -20,111 +21,122 @@ class GraphError(ValueError):
     """Malformed graph, sequence, or out-of-range argument."""
 
 
-@dataclass(frozen=True)
+def members(mask: int) -> Iterator[int]:
+    """The set bits of `mask` in increasing order, as process ids."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, init=False)
 class CommGraph:
-    """One round's communication graph: edge (u, v) means v hears u."""
+    """One round's communication graph: edge (u, v) means v hears u.
+
+    Invariant: `ins[v]` has bit u set iff v hears u in this round, and bit
+    v of `ins[v]` is always set. Equality and hashing are on (n, ins);
+    `edges` is a derived view without self-loops.
+    """
 
     n: int
-    edges: frozenset[Edge]
+    ins: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GraphError(f"need at least one process, got n={self.n}")
-        cleaned = frozenset((u, v) for (u, v) in self.edges if u != v)
-        for u, v in cleaned:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-        object.__setattr__(self, "edges", cleaned)
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        if n < 1:
+            raise GraphError(f"need at least one process, got n={n}")
+        ins = [1 << v for v in range(n)]
+        for u, v in edges:
+            if u == v:
+                continue
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+            ins[v] |= 1 << u
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ins", tuple(ins))
 
     @classmethod
-    def make(cls, n: int, edges: Iterable[Edge] = ()) -> "CommGraph":
-        return cls(n, frozenset(edges))
+    def from_ins(cls, ins: Sequence[int]) -> "CommGraph":
+        """The graph with these in-neighbour masks; the caller keeps the invariant."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(ins))
+        object.__setattr__(g, "ins", tuple(ins))
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """Every edge (u, v) with u != v, derived from `ins`."""
+        return frozenset((u, v) for v, m in enumerate(self.ins) for u in members(m) if u != v)
 
 
 def in_neighborhood(g: CommGraph, p: int) -> frozenset[int]:
     """Processes p hears from in g, always including p itself."""
     if not (0 <= p < g.n):
         raise GraphError(f"process {p} out of range for n={g.n}")
-    return frozenset(u for (u, v) in g.edges if v == p) | {p}
+    return frozenset(members(g.ins[p]))
 
 
 def out_neighborhood(g: CommGraph, p: int) -> frozenset[int]:
     """Processes that hear p in g, always including p itself."""
     if not (0 <= p < g.n):
         raise GraphError(f"process {p} out of range for n={g.n}")
-    return frozenset(v for (u, v) in g.edges if u == p) | {p}
+    return frozenset(v for v, m in enumerate(g.ins) if m >> p & 1)
 
 
-def strongly_connected_components(
-    nodes: Iterable[int], succ: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]
-) -> list[frozenset[int]]:
-    """All SCCs of the graph on `nodes` with edges v -> w for w in succ[v].
+def root_masks(ins: Sequence[int]) -> list[int]:
+    """All root components of the graph with in-neighbour masks `ins`, as masks.
 
-    Iterative Tarjan. Every successor must itself be one of `nodes`; the
-    graph may be a subgraph of a round graph, indexed by process id.
+    v lies in a root component iff every ancestor of v has the same
+    ancestor set as v, that is, iff v reaches every one of its ancestors;
+    that ancestor set is then the component, and all of its members are
+    settled at once. A process that hears a settled process (a found root
+    member, or one known to lie outside every root) lies outside every
+    root itself, so it needs no closure.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[frozenset[int]] = []
-
-    for root in nodes:
-        if root in index:
+    settled = 0
+    roots: list[int] = []
+    for v in range(len(ins)):
+        bit = 1 << v
+        if settled & bit:
             continue
-        # (node, iterator position) work stack
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = len(index)
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            out = succ[v]
-            for i in range(pi, len(out)):
-                w = out[i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
+        if not ins[v] & settled:
+            anc = _ancestors(ins, v)
+            if not anc & settled and _reaches_all(ins, bit, anc ^ bit):
+                roots.append(anc)
+                settled |= anc
                 continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-            if work:
-                u, _ = work[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return components
+        settled |= bit
+    return roots
+
+
+def _reaches_all(ins: Sequence[int], reached: int, rest: int) -> bool:
+    """Does the set `reached` reach every process of `rest`?"""
+    while rest:
+        grown = False
+        todo = rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if ins[low.bit_length() - 1] & reached:
+                reached |= low
+                rest ^= low
+                grown = True
+        if not grown:
+            return False
+    return True
+
+
+def _ancestors(ins: Sequence[int], v: int) -> int:
+    """Mask of every process with a path to v, v included."""
+    seen = new = 1 << v
+    while new:
+        new = _union(ins, new) & ~seen
+        seen |= new
+    return seen
 
 
 def root_components(g: CommGraph) -> frozenset[frozenset[int]]:
     """All root components of g: SCCs with no in-edge from outside."""
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        succ[u].append(v)
-    comps = strongly_connected_components(range(g.n), succ)
-    member_of: dict[int, frozenset[int]] = {}
-    for comp in comps:
-        for v in comp:
-            member_of[v] = comp
-    closed = set(comps)
-    for u, v in g.edges:
-        if member_of[u] is not member_of[v]:
-            closed.discard(member_of[v])
-    return frozenset(closed)
+    return frozenset(frozenset(members(m)) for m in root_masks(g.ins))
 
 
 def is_rooted(g: CommGraph) -> bool:
@@ -143,28 +155,23 @@ def single_root(g: CommGraph) -> frozenset[int] | None:
 def compound(g1: CommGraph, g2: CommGraph) -> CommGraph:
     """Two-hop composition g1 then g2, with self-loops on both inputs.
 
-    Equivalent to the boolean product of the adjacency matrices
-    (diagonal forced to 1).
+    The boolean product of the adjacency matrices (diagonal forced to 1):
+    w hears u in the result iff w hears some v in g2 that heard u in g1.
     """
     if g1.n != g2.n:
         raise GraphError(f"process count mismatch: {g1.n} vs {g2.n}")
-    n = g1.n
-    step2: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g2.edges:
-        step2[u].add(v)
-    for u in range(n):
-        step2[u].add(u)
-    edges = set()
-    for u, v in g1.edges:
-        for w in step2[v]:
-            if u != w:
-                edges.add((u, w))
-    # loop-carried: u -> u -> w and u -> v -> v
-    for u, v in g1.edges:
-        edges.add((u, v))
-    for u, v in g2.edges:
-        edges.add((u, v))
-    return CommGraph(n, frozenset(edges))
+    ins1 = g1.ins
+    return CommGraph.from_ins([_union(ins1, m) for m in g2.ins])
+
+
+def _union(ins: Sequence[int], mask: int) -> int:
+    """OR of ins[v] over the bits v of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        acc |= ins[low.bit_length() - 1]
+    return acc
 
 
 def compound_all(graphs: Iterable[CommGraph]) -> CommGraph:
@@ -181,7 +188,7 @@ def star(center: int, n: int) -> CommGraph:
     """Graph with edges from center to every other process and nothing else."""
     if not (0 <= center < n):
         raise GraphError(f"center {center} out of range for n={n}")
-    return CommGraph(n, frozenset((center, q) for q in range(n) if q != center))
+    return CommGraph(n, ((center, q) for q in range(n)))
 
 
 @dataclass(frozen=True)
@@ -248,12 +255,10 @@ def causal_past(seq: GraphSequence, p: int, a: int, b: int) -> frozenset[int]:
     if not (0 <= p < seq.n):
         raise GraphError(f"process {p} out of range for n={seq.n}")
     # Walk backwards: reached = set that can still influence p.
-    reached = {p}
+    reached = 1 << p
     for r in range(b, a, -1):
-        g = seq.graphs[r - 1]
-        extra = {u for (u, v) in g.edges if v in reached}
-        reached |= extra
-    return frozenset(reached)
+        reached = _union(seq.graphs[r - 1].ins, reached)
+    return frozenset(members(reached))
 
 
 def write_jsonl(seq: GraphSequence, fh: IO[str]) -> None:
@@ -281,8 +286,7 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
     for i, ln in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(ln)
-            edges = frozenset((int(u), int(v)) for u, v in obj["edges"])
-            graphs.append(CommGraph(n, edges))
+            graphs.append(CommGraph(n, ((int(u), int(v)) for u, v in obj["edges"])))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
             raise GraphError(f"line {i}: {exc}") from exc
     return GraphSequence(n, tuple(graphs))

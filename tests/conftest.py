@@ -16,7 +16,7 @@ def random_graph(rng: random.Random, n: int, density: float = 0.3) -> CommGraph:
         for v in range(n)
         if u != v and rng.random() < density
     }
-    return CommGraph.make(n, edges)
+    return CommGraph(n, edges)
 
 
 def random_sequence(rng: random.Random, n: int, rounds: int, density: float = 0.3) -> GraphSequence:
@@ -55,8 +55,8 @@ def sink_mutation_sequence(rounds: int = 20) -> GraphSequence:
     unanimous-locked-value adoption rule. Used to show the convergence
     checker catches algorithms with that rule (or the backoff) disabled.
     """
-    a = CommGraph.make(3, [(0, 1), (0, 2)])  # root {0}
-    b = CommGraph.make(3, [(1, 0), (1, 2)])  # root {1}
+    a = CommGraph(3, [(0, 1), (0, 2)])  # root {0}
+    b = CommGraph(3, [(1, 0), (1, 2)])  # root {1}
     return GraphSequence(3, tuple(a if r % 2 else b for r in range(1, rounds + 1)))
 
 

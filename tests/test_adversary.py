@@ -21,7 +21,7 @@ from rootsim.graphs import CommGraph, GraphSequence, causal_past, compound, is_r
 
 
 def g(n, edges):
-    return CommGraph.make(n, edges)
+    return CommGraph(n, edges)
 
 
 class TestCheckers:

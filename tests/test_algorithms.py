@@ -9,7 +9,7 @@ from conftest import sink_mutation_sequence
 
 
 def g(n, edges):
-    return CommGraph.make(n, edges)
+    return CommGraph(n, edges)
 
 
 class TestLockingBasics:

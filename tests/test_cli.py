@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rootsim import cli, graphs
+from rootsim import adversary, cli, graphs
 from rootsim.cli import main
 from rootsim.graphs import read_jsonl
 
@@ -50,12 +50,31 @@ class TestBadInput:
             ["run", "--n", "3", "--stability-start", "1"],
             ["run", "--n", "3", "--stability-start", "0"],
             ["sweep", "--n", "3", "--trials", "2", "--horizon", "4"],
+            ["run", "--n", "3", "--horizon", "0", "--seed", "1"],
+            ["run", "--algorithm", "voting", "--n", "4", "--horizon", "0"],
+            ["run", "--algorithm", "voting", "--n", "4", "--horizon", "2"],
+            ["run", "--algorithm", "voting", "--n", "4", "--horizon", "8"],
+            ["sweep", "--algorithm", "voting", "--n", "4", "--horizon", "3", "--trials", "2"],
         ],
     )
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_replay_rejects_zero_horizon(self, tmp_path, capsys):
+        from rootsim.graphs import write_jsonl
+
+        path = tmp_path / "s.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(adversary.scenario("chain-a", n=3, D=2, horizon=6), fh)
+        assert main(["run", "--n", "3", "--sequence", str(path), "--horizon", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_voting_horizon_equal_to_window_runs(self):
+        # The shortest accepted voting horizon is the stable window itself.
+        assert main(["run", "--algorithm", "voting", "--n", "4", "--horizon", "9"]) == 0
 
 
 class TestSweep:
@@ -70,6 +89,26 @@ class TestSweep:
 
     def test_zero_trials(self):
         assert main(["sweep", "--algorithm", "locking", "--n", "3", "--trials", "0"]) == 2
+
+    def test_unexpected_exception_recorded_against_its_seed(self, monkeypatch, capsys):
+        original = cli.run_once
+
+        def flaky(cfg, seed):
+            if seed == 1:
+                raise KeyError("boom")
+            return original(cfg, seed)
+
+        monkeypatch.setattr(cli, "run_once", flaky)
+        code = main(
+            ["sweep", "--algorithm", "locking", "--n", "3", "--D", "2",
+             "--seed", "0", "--trials", "3"]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        summary = json.loads(out)
+        assert summary["passed"] == 2 and summary["crashed"] == 1
+        assert summary["crashes"] == [{"seed": 1, "error": "KeyError: 'boom'"}]
+        assert "seed 1 crashed" in err and "Traceback" in err
 
 
 class TestValidate:
@@ -134,7 +173,7 @@ class TestSequenceInput:
     def test_sequence_process_count_mismatch(self, tmp_path):
         from rootsim.graphs import CommGraph, GraphSequence, write_jsonl
 
-        seq = GraphSequence(3, (CommGraph.make(3, [(0, 1)]),) * 4)
+        seq = GraphSequence(3, (CommGraph(3, [(0, 1)]),) * 4)
         path = tmp_path / "seq.jsonl"
         with open(path, "w") as fh:
             write_jsonl(seq, fh)

@@ -12,7 +12,7 @@ from conftest import Probe, random_sequence
 
 
 def g(n, edges):
-    return CommGraph.make(n, edges)
+    return CommGraph(n, edges)
 
 
 def collect_estimates(seq, max_s=None):
@@ -135,9 +135,22 @@ def unmemoized_estimate(view, s):
     """The estimate by exhaustive search: the unique closed, strongly
     connected set of processes whose round-s reports the view can read."""
     known = {q for q in range(view.n) if view.in_report(q, s) is not None}
-    reported = CommGraph.make(view.n, {(u, q) for q in known for u in view.in_report(q, s)})
+    reported = CommGraph(view.n, {(u, q) for q in known for u in view.in_report(q, s)})
     found = [R for R in brute_force_roots(reported) if R <= known]
     return found[0] if len(found) == 1 else None
+
+
+def estimate_mismatches(seq):
+    """(p, s, r) wherever estimate_root differs from unmemoized_estimate."""
+    mismatches = []
+
+    def hook(state, view, r):
+        for s in range(1, r + 1):
+            if estimate_root(view, s) != unmemoized_estimate(view, s):
+                mismatches.append((view.owner, s, r))
+
+    run(Probe(hook), list(range(seq.n)), seq)
+    return mismatches
 
 
 class TestMemo:
@@ -147,13 +160,10 @@ class TestMemo:
         # answer.
         for seed in range(10):
             rng = random.Random(1000 + seed)
-            seq = random_sequence(rng, 4, 6, density=0.15)
-            mismatches = []
+            assert not estimate_mismatches(random_sequence(rng, 4, 6, density=0.15)), seed
 
-            def hook(state, view, r):
-                for s in range(1, r + 1):
-                    if estimate_root(view, s) != unmemoized_estimate(view, s):
-                        mismatches.append((view.owner, s, r))
-
-            run(Probe(hook), list(range(seq.n)), seq)
-            assert not mismatches, seed
+    def test_estimates_match_unmemoized_at_n8(self):
+        # Report masks eight bits wide, with several roots in most rounds.
+        for seed in range(3):
+            rng = random.Random(2000 + seed)
+            assert not estimate_mismatches(random_sequence(rng, 8, 5, density=0.12)), seed

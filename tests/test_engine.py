@@ -9,7 +9,7 @@ from conftest import Probe, random_sequence
 
 
 def g(n, edges):
-    return CommGraph.make(n, edges)
+    return CommGraph(n, edges)
 
 
 class TestFullInformation:

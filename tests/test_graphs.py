@@ -26,7 +26,7 @@ from conftest import random_graph, random_sequence
 
 
 def g(n, edges):
-    return CommGraph.make(n, edges)
+    return CommGraph(n, edges)
 
 
 class TestCommGraph:
@@ -248,3 +248,95 @@ class TestSequenceSerialization:
         assert seq.graph(2).edges == frozenset({(1, 0)})
         with pytest.raises(GraphError):
             seq.graph(0)
+
+
+def _reach(n, succ, src):
+    """Processes reachable from src along succ (src included), by BFS."""
+    seen = {src}
+    frontier = [src]
+    while frontier:
+        u = frontier.pop()
+        for v in succ[u]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
+def _roots_by_reachability(graph):
+    """Edge-set oracle: SCCs by mutual reachability, kept if closed."""
+    n = graph.n
+    succ = {u: set() for u in range(n)}
+    for u, v in graph.edges:
+        succ[u].add(v)
+    desc = [_reach(n, succ, v) for v in range(n)]
+    roots = set()
+    for v in range(n):
+        comp = frozenset(u for u in desc[v] if v in desc[u])
+        if not any(w in comp and u not in comp for u, w in graph.edges):
+            roots.add(comp)
+    return frozenset(roots)
+
+
+class TestWideMasks:
+    """Kernel oracles at mask widths past the small-n cases above."""
+
+    WIDTHS = [8, 16, 24]
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_compound_matches_matrix_product(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(8):
+            g1 = random_graph(rng, n, rng.uniform(0.02, 0.3))
+            g2 = random_graph(rng, n, rng.uniform(0.02, 0.3))
+            m1 = [[u == v or (u, v) in g1.edges for v in range(n)] for u in range(n)]
+            m2 = [[u == v or (u, v) in g2.edges for v in range(n)] for u in range(n)]
+            expect = {
+                (u, v)
+                for u in range(n)
+                for v in range(n)
+                if u != v and any(m1[u][k] and m2[k][v] for k in range(n))
+            }
+            assert compound(g1, g2).edges == frozenset(expect)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_causal_past_matches_edge_bfs(self, n):
+        rng = random.Random(200 + n)
+        seq = random_sequence(rng, n, 6, density=2.0 / n)
+        for _ in range(20):
+            p = rng.randrange(n)
+            a, b = sorted(rng.sample(range(0, 7), 2))
+            reached = {p}
+            for r in range(b, a, -1):
+                reached |= {u for (u, v) in seq.graph(r).edges if v in reached}
+            assert causal_past(seq, p, a, b) == frozenset(reached)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_root_components_match_reachability(self, n):
+        rng = random.Random(300 + n)
+        for _ in range(30):
+            graph = random_graph(rng, n, rng.uniform(0.0, 4.0 / n))
+            assert root_components(graph) == _roots_by_reachability(graph)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_root_components_match_brute_force(self, n):
+        rng = random.Random(400 + n)
+        for _ in range(5):
+            assert verify_root_computation(random_graph(rng, n, rng.uniform(0.05, 0.3)))
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_compound_equals_graph_rebuilt_from_edges(self, n):
+        rng = random.Random(500 + n)
+        folded = compound_all(random_graph(rng, n, 1.5 / n) for _ in range(4))
+        rebuilt = CommGraph(n, folded.edges)
+        assert folded == rebuilt and hash(folded) == hash(rebuilt)
+        assert len({folded, rebuilt}) == 1
+
+    def test_jsonl_round_trip_n20(self):
+        seq = random_sequence(random.Random(20), 20, 5, density=0.2)
+        buf = io.StringIO()
+        write_jsonl(seq, buf)
+        buf.seek(0)
+        back = read_jsonl(buf)
+        assert back == seq
+        assert [h.edges for h in back] == [h.edges for h in seq]

@@ -16,7 +16,7 @@ from conftest import Probe
 
 
 def g(n, edges):
-    return CommGraph.make(n, edges)
+    return CommGraph(n, edges)
 
 
 def make_exec(inputs, rows):
@@ -35,7 +35,6 @@ def make_exec(inputs, rows):
         states=[list(r) for r in rows],
         lastrounds=[tuple((0,) * n for _ in range(n))] * rounds,
         detected=[tuple(None for _ in range(n))] * rounds,
-        ins=[[frozenset({p}) for p in range(n)]] * rounds,
         trace_fields=lambda s: {"proposal": s.proposal, "decided": s.decided},
     )
 
