@@ -22,12 +22,35 @@ from .engine import ProcessView
 
 
 class LockState(NamedTuple):
+    """One process's locking state. Its key is its proposal if it is locked,
+    else None; `since` is the first round of the maximal run of equal keys
+    in the process's state row that ends at this state. `since` is derived
+    bookkeeping and is not traced."""
+
     proposal: int
     locked: bool
     lockround: int
     queue: tuple[int, ...]
     decided: bool
     decision: int | None
+    since: int = 0
+
+
+def key_runs(view: ProcessView, lo: int) -> list[tuple[int, int, int | None]]:
+    """The recorded states from round lo on of every process heard from
+    since round lo, as maximal runs of equal keys: (first round, last round,
+    key), each process's oldest run clipped to lo. The walk jumps from run
+    to run through `since`, so it reads one state per run."""
+    runs = []
+    for q in range(view.n):
+        if view.last_heard(q) >= lo:
+            s = view.last_state_round(q)
+            while s >= lo:
+                st = view.state(q, s)
+                since = st.since
+                runs.append((since if since > lo else lo, s, st.proposal if st.locked else None))
+                s = since - 1
+    return runs
 
 
 class VoteState(NamedTuple):
@@ -40,10 +63,15 @@ class VoteState(NamedTuple):
 class LockingConsensus:
     """Locking consensus; parameters N (known bound on n, N >= n) and D.
 
+    Every query over recent states reads them as runs of equal keys
+    (`key_runs`): the locked values seen in the last N rounds, the backoff
+    witnesses among them, and the decide guard, which holds when each heard
+    process's newest state holds our locked proposal and its run (`since`)
+    began by the start of the guard's lookback.
+
     Optional knobs (defaults are the verified configuration):
-    - history_window: "deadline" bounds the old-state scan of the decide
-      guard by the decide deadline itself; "squared" uses the wider
-      (D+2N)^2 lookback.
+    - history_window: the lookback of the decide guard. "deadline" makes it
+      the decide span N(D+2N) itself; "squared" uses the wider (D+2N)^2.
     - prune: on backoff, drop queued confirmations up to the "max" (default)
       or "min" violating state round.
     - adopt_unanimous: enable the unanimous-locked-value adoption rule
@@ -113,20 +141,16 @@ class LockingConsensus:
 
     def step(self, state: LockState, view: ProcessView, r: int) -> tuple[LockState, frozenset[int] | None]:
         N, D = self.N, self.D
-        proposal, locked, lockround, queue, decided, decision = state
+        proposal, locked, lockround, queue, decided, decision, since = state
         n = view.n
 
         root = estimate_root(view, r - D) if r > D else None
 
         # Recent states: everyone whose fresh-enough state reached us, with
-        # all their recorded states inside the N-round lookback.
+        # all their recorded states inside the N-round lookback, as runs.
         lo = max(0, r - N)
-        recent: list[LockState] = []
-        for q in range(n):
-            if view.last_heard(q) >= lo:
-                row = view.states_of(q)
-                recent.extend(row[lo : view.last_state_round(q) + 1])
-        locked_values = {st.proposal for st in recent if st.locked}
+        runs = key_runs(view, lo)
+        locked_values = {key for _, _, key in runs if key is not None}
 
         if root is not None:
             candidate = max(view.state(q, r - D).proposal for q in root)
@@ -151,15 +175,10 @@ class LockingConsensus:
                 queue = queue + (r,)
 
         if self.backoff and r >= lockround + N:
-            violating = [
-                s
-                for q in range(n)
-                if view.last_heard(q) >= lo
-                for s, st in enumerate(view.states_of(q)[lo : view.last_state_round(q) + 1], start=lo)
-                if not st.locked or st.proposal != proposal
-            ]
+            violating = [(start, end) for start, end, key in runs if key != proposal]
             if violating:
-                cut = max(violating) if self.prune == "max" else min(violating)
+                starts, ends = zip(*violating)
+                cut = max(ends) if self.prune == "max" else min(starts)
                 queue = tuple(t for t in queue if t > cut)
                 if queue:
                     lockround = queue[0]
@@ -180,23 +199,15 @@ class LockingConsensus:
             span = self.N * (D + 2 * N) if self.history_window == "deadline" else (D + 2 * N) ** 2
             lo2 = max(0, r - self.N * (D + 2 * N))
             s_lo = max(0, r - span)
-            all_match = True
-            for q in range(n):
-                if view.last_heard(q) < lo2:
-                    continue
-                for st in view.states_of(q)[s_lo : view.last_state_round(q) + 1]:
-                    if not st.locked or st.proposal != proposal:
-                        all_match = False
-                        break
-                if not all_match:
-                    break
-            if all_match:
+            # q's states from s_lo on all hold our locked proposal iff its
+            # newest one does and that one's run began by s_lo.
+            newest = [view.state(q, view.last_state_round(q)) for q in range(n) if view.last_heard(q) >= lo2]
+            if all(st.locked and st.proposal == proposal and st.since <= s_lo for st in newest):
                 decided, decision = True, proposal
 
-        return (
-            LockState(proposal, locked, lockround, queue, decided, decision),
-            root,
-        )
+        if (proposal if locked else None) != (state.proposal if state.locked else None):
+            since = r
+        return LockState(proposal, locked, lockround, queue, decided, decision, since), root
 
 
 def value_of_root(

@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--history-window",
             choices=["deadline", "squared"],
             dest="history_window",
-            help="lookback of the decide guard's old-state scan",
+            help="lookback of the decide guard",
         )
         p.add_argument("--prune", choices=["max", "min"], help="backoff queue pruning witness")
         p.add_argument(

@@ -16,7 +16,7 @@ from .engine import ProcessView
 from .graphs import members, root_masks
 
 
-def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[int] | None:
+def estimate_root(view: ProcessView, s: int) -> frozenset[int] | None:
     """Estimate the root component of the round-s graph, or None if unsure.
 
     Returns a set R iff exactly one set exists whose members' round-s
@@ -24,18 +24,18 @@ def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[
     connected under the reported edges. Results are memoized in the run's
     shared `view.memo`.
     """
-    if r is None:
-        r = view.round
-    if s > r:
-        raise ValueError(f"cannot estimate round {s} from round {r}")
+    if s > view.round:
+        raise ValueError(f"cannot estimate round {s} from round {view.round}")
     if s < 1:
         raise ValueError(f"round index must be >= 1, got {s}")
-    reports = [view.in_report_mask(q, s) for q in range(view.n)]
-    known = sum(1 << q for q, report in enumerate(reports) if report is not None)
-    if not known:
-        return None
-    # Reports are true in-neighborhoods, identical for every reader, so the
-    # result depends only on s and on whose reports are known.
+    # A round-s report is known iff its sender's round-s state is; the
+    # owner also knows its own current one. Reports are true
+    # in-neighborhoods, identical for every reader, so the result depends
+    # only on s and on whose reports are known.
+    known = 1 << view.owner
+    for q, last in enumerate(view.lastround):
+        if last >= s:
+            known |= 1 << q
     key = (s, known)
     if key in view.memo:
         return view.memo[key]
@@ -43,17 +43,8 @@ def estimate_root(view: ProcessView, s: int, r: int | None = None) -> frozenset[
     # Root components of the report graph, where a process with an unknown
     # report hears nobody: it is a singleton root of its own, and any
     # process that reports hearing it lies in no fully-reported root.
-    ins = [(1 << q) if report is None else report for q, report in enumerate(reports)]
+    ins = [view.in_report_mask(q, s) or 1 << q for q in range(view.n)]
     candidates = [m for m in root_masks(ins) if not m & ~known]
     result = frozenset(members(candidates[0])) if len(candidates) == 1 else None
     view.memo[key] = result
     return result
-
-
-def estimate_prev_root(view: ProcessView, r: int | None = None) -> frozenset[int] | None:
-    """Estimate the root of the previous round's graph."""
-    if r is None:
-        r = view.round
-    if r < 2:
-        raise ValueError(f"no previous round to estimate at round {r}")
-    return estimate_root(view, r - 1, r)

@@ -46,9 +46,10 @@ class ProcessView:
     known (NEVER if q was never heard of). The owner's own entry is r-1:
     its round-r state is what the current computation produces. The
     contractual `last_heard` for the owner is nevertheless r, since a
-    process trivially hears itself in every round. `memo` holds the root
-    estimates of detection.estimate_root and is shared by every view of
-    one run.
+    process trivially hears itself in every round. Every state read goes
+    through `state`, which raises EngineError outside the view. `memo`
+    holds the root estimates of detection.estimate_root and is shared by
+    every view of one run.
     """
 
     __slots__ = ("owner", "round", "n", "lastround", "_states", "_graphs", "memo")
@@ -82,20 +83,12 @@ class ProcessView:
             return self.round - 1
         return self.lastround[q]
 
-    def knows(self, q: int, s: int) -> bool:
-        return 0 <= s <= self.last_heard(q)
-
     def state(self, q: int, s: int) -> Any:
         if not (0 <= s <= self.last_state_round(q)):
             raise EngineError(
                 f"process {self.owner} has no recorded round-{s} state of {q} at round {self.round}"
             )
         return self._states[q][s]
-
-    def states_of(self, q: int) -> list[Any]:
-        """The shared state store row for q; entries beyond last_state_round(q)
-        are outside this view and must not be read."""
-        return self._states[q]
 
     def in_report(self, q: int, s: int) -> frozenset[int] | None:
         """IN_q of round s as reported by q itself, or None if unknown.

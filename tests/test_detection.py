@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rootsim.detection import estimate_prev_root, estimate_root
+from rootsim.detection import estimate_root
 from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, single_root, star
 from rootsim.adversary import AdversarySpec, generate_stable, generate_rooted
@@ -70,7 +70,7 @@ class TestExamples:
 
         def hook(state, view, r):
             if r == 2:
-                results[view.owner] = estimate_prev_root(view)
+                results[view.owner] = estimate_root(view, r - 1)
 
         run(Probe(hook), [0, 1, 2], seq)
         assert results == {p: frozenset({0}) for p in range(3)}
