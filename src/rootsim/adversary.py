@@ -221,12 +221,13 @@ def compound_sequence(seq: GraphSequence) -> GraphSequence:
 # Random generation
 
 
-def _random_root_set(rng: random.Random, n: int, forbid: frozenset[int] | None) -> frozenset[int]:
-    """A random nonempty root set differing from `forbid` (if possible)."""
+def _random_root_set(rng: random.Random, n: int, *forbid: frozenset[int] | None) -> frozenset[int]:
+    """A random nonempty root set, redrawn while it is one of `forbid`
+    (unless n = 1, where only one root set exists)."""
     for _ in range(200):
         size = rng.randint(1, n)
         root = frozenset(rng.sample(range(n), size))
-        if root != forbid or n == 1:
+        if root not in forbid or n == 1:
             return root
     raise GenerationError("could not draw a fresh root set")
 
@@ -318,10 +319,10 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
 
     anchor = rng.randrange(n)
     anchor_root = frozenset({anchor})
-    window_root = _random_root_set(rng, n, None)
+    window_root = _random_root_set(rng, n)
     # For n = 2 the full set is excluded, or no valid round-2 root exists.
     while window_root == anchor_root or (n == 2 and len(window_root) == n):
-        window_root = _random_root_set(rng, n, None)
+        window_root = _random_root_set(rng, n)
 
     graphs: list[CommGraph] = []
     prev_root: frozenset[int] | None = None
@@ -333,10 +334,10 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
         elif r == 2:
             # Round 2's root contains the anchor, which broadcasts so that
             # everyone learns round 1's receive reports this round.
-            root = anchor_root | _random_root_set(rng, n, None)
+            root = anchor_root | _random_root_set(rng, n)
             tries = 0
             while root in (anchor_root, window_root):
-                root = anchor_root | _random_root_set(rng, n, None)
+                root = anchor_root | _random_root_set(rng, n)
                 tries += 1
                 if tries > 200:
                     raise GenerationError("cannot draw a round-2 root")
@@ -346,13 +347,7 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
             root = window_root
             g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
         else:
-            root = _random_root_set(rng, n, prev_root)
-            tries = 0
-            while root == window_root:
-                root = _random_root_set(rng, n, prev_root)
-                tries += 1
-                if tries > 200:
-                    raise GenerationError("cannot avoid the designated root outside the window")
+            root = _random_root_set(rng, n, prev_root, window_root)
             g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
         graphs.append(g)
         prev_root = root
@@ -406,7 +401,7 @@ def generate_rooted(
         b = a + stable_len - 1
         if b > horizon:
             raise ValueError(f"stable window ({a},{b}) exceeds horizon {horizon}")
-        window_root = _random_root_set(rng, n, None)
+        window_root = _random_root_set(rng, n)
         window = (a, b, window_root)
 
     graphs: list[CommGraph] = []
@@ -415,13 +410,8 @@ def generate_rooted(
         if a <= r <= b:
             root = window_root
         else:
-            root = _random_root_set(rng, n, prev_root)
-            tries = 0
-            while (r == a - 1 or r == b + 1) and root == window_root:
-                root = _random_root_set(rng, n, prev_root)
-                tries += 1
-                if tries > 200:
-                    raise GenerationError("cannot avoid the designated root at the window edge")
+            forbid = (prev_root, window_root) if r in (a - 1, b + 1) else (prev_root,)
+            root = _random_root_set(rng, n, *forbid)
         graphs.append(_random_rooted_graph(rng, n, root, density=0.25))
         prev_root = root
     seq = GraphSequence(n, tuple(graphs))

@@ -19,6 +19,7 @@ from typing import Any, NamedTuple
 
 from .detection import estimate_root
 from .engine import ProcessView
+from .graphs import members
 
 
 class LockState(NamedTuple):
@@ -42,14 +43,12 @@ def key_runs(view: ProcessView, lo: int) -> list[tuple[int, int, int | None]]:
     key), each process's oldest run clipped to lo. The walk jumps from run
     to run through `since`, so it reads one state per run."""
     runs = []
-    for q in range(view.n):
-        if view.last_heard(q) >= lo:
-            s = view.last_state_round(q)
-            while s >= lo:
-                st = view.state(q, s)
-                since = st.since
-                runs.append((since if since > lo else lo, s, st.proposal if st.locked else None))
-                s = since - 1
+    for q, s in enumerate(view.lastround):
+        while s >= lo:
+            st = view.state(q, s)
+            since = st.since
+            runs.append((since if since > lo else lo, s, st.proposal if st.locked else None))
+            s = since - 1
     return runs
 
 
@@ -86,8 +85,6 @@ class LockingConsensus:
       scope, after which the guard would never be re-examined.
     """
 
-    name = "locking"
-
     def __init__(
         self,
         N: int,
@@ -113,15 +110,6 @@ class LockingConsensus:
         self.adopt_unanimous = adopt_unanimous
         self.backoff = backoff
         self.decide_rule = decide_rule
-        self.params = {
-            "N": N,
-            "D": D,
-            "history_window": history_window,
-            "prune": prune,
-            "adopt_unanimous": adopt_unanimous,
-            "backoff": backoff,
-            "decide_rule": decide_rule,
-        }
 
     def initial_state(self, pid: int, x: int) -> LockState:
         return LockState(proposal=x, locked=True, lockround=1, queue=(), decided=False, decision=None)
@@ -142,7 +130,6 @@ class LockingConsensus:
     def step(self, state: LockState, view: ProcessView, r: int) -> tuple[LockState, frozenset[int] | None]:
         N, D = self.N, self.D
         proposal, locked, lockround, queue, decided, decision, since = state
-        n = view.n
 
         root = estimate_root(view, r - D) if r > D else None
 
@@ -201,7 +188,7 @@ class LockingConsensus:
             s_lo = max(0, r - span)
             # q's states from s_lo on all hold our locked proposal iff its
             # newest one does and that one's run began by s_lo.
-            newest = [view.state(q, view.last_state_round(q)) for q in range(n) if view.last_heard(q) >= lo2]
+            newest = [view.state(q, s) for q, s in enumerate(view.lastround) if s >= lo2]
             if all(st.locked and st.proposal == proposal and st.since <= s_lo for st in newest):
                 decided, decision = True, proposal
 
@@ -232,11 +219,6 @@ def value_of_root(
 class VotingConsensus:
     """Voting consensus for non-split compound sequences."""
 
-    name = "voting"
-
-    def __init__(self) -> None:
-        self.params: dict[str, Any] = {}
-
     def initial_state(self, pid: int, x: int) -> VoteState:
         return VoteState(proposal=x, vote=None, decided=False, decision=None)
 
@@ -255,7 +237,7 @@ class VotingConsensus:
         proposal, vote, decided, decision = state
         messages = {
             q: (view.state(q, r - 1).vote, view.state(q, r - 1).proposal)
-            for q in view.in_report(view.owner, r)
+            for q in members(view.in_report_mask(view.owner, r))
         }
         prev_root = estimate_root(view, r - 1) if r >= 2 else None
 

@@ -1,14 +1,16 @@
 """Command-line front end: run, sweep, validate, scenario.
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
-parse error. All randomness derives from the single --seed; sweeps use
-seed + trial index per trial.
+parse error, 141 standard output closed early (as by `| head`). All
+randomness derives from the single --seed; sweeps use seed + trial index
+per trial.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -363,10 +365,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed standard output. Point it at the null device so
+        # the final flush at exit cannot fail again, and exit as a process
+        # killed by SIGPIPE would (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

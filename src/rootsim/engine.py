@@ -26,9 +26,8 @@ class EngineError(RuntimeError):
 
 
 class Algorithm(Protocol):
-    """The behavior the engine drives, one instance per execution."""
-
-    name: str
+    """The behavior the engine drives. An instance holds only parameters,
+    so one instance can drive any number of executions."""
 
     def initial_state(self, pid: int, x: int) -> Any: ...
 
@@ -43,13 +42,12 @@ class ProcessView:
     """One process's knowledge at the start of its round-r computation.
 
     `lastround[q]` is the newest round s such that q's round-s state is
-    known (NEVER if q was never heard of). The owner's own entry is r-1:
-    its round-r state is what the current computation produces. The
-    contractual `last_heard` for the owner is nevertheless r, since a
-    process trivially hears itself in every round. Every state read goes
-    through `state`, which raises EngineError outside the view. `memo`
-    holds the root estimates of detection.estimate_root and is shared by
-    every view of one run.
+    known (NEVER if q was never heard of). It is the only knowledge bound:
+    q's round-s state is readable iff 0 <= s <= lastround[q]. The owner's
+    own entry is r-1, since its round-r state is what the current
+    computation produces. Every state read goes through `state`, which
+    raises EngineError outside the view. `memo` holds the root estimates
+    of detection.estimate_root and is shared by every view of one run.
     """
 
     __slots__ = ("owner", "round", "n", "lastround", "_states", "_graphs", "memo")
@@ -71,36 +69,20 @@ class ProcessView:
         self._graphs = graphs  # graphs[s-1] is the round-s graph
         self.memo = memo
 
-    def last_heard(self, q: int) -> int:
-        """Largest s with q's round-s state known; r for the owner itself."""
-        if q == self.owner:
-            return self.round
-        return self.lastround[q]
-
-    def last_state_round(self, q: int) -> int:
-        """Largest s with a recorded state of q available to read."""
-        if q == self.owner:
-            return self.round - 1
-        return self.lastround[q]
-
     def state(self, q: int, s: int) -> Any:
-        if not (0 <= s <= self.last_state_round(q)):
+        if not (0 <= s <= self.lastround[q]):
             raise EngineError(
                 f"process {self.owner} has no recorded round-{s} state of {q} at round {self.round}"
             )
         return self._states[q][s]
 
-    def in_report(self, q: int, s: int) -> frozenset[int] | None:
-        """IN_q of round s as reported by q itself, or None if unknown.
+    def in_report_mask(self, q: int, s: int) -> int | None:
+        """IN_q of round s as reported by q itself, as an in-neighbour bit
+        mask, or None if unknown.
 
         A round-s report travels inside q's round-s state; additionally the
         owner knows its own current receive set before computing.
         """
-        mask = self.in_report_mask(q, s)
-        return None if mask is None else frozenset(members(mask))
-
-    def in_report_mask(self, q: int, s: int) -> int | None:
-        """in_report as an in-neighbour bit mask."""
         if 1 <= s <= (self.round if q == self.owner else self.lastround[q]):
             return self._graphs[s - 1].ins[q]
         return None
@@ -110,8 +92,6 @@ class ProcessView:
 class Execution:
     """Complete record of one run: inputs, sequence, states, knowledge."""
 
-    algorithm_name: str
-    algorithm_params: dict[str, Any]
     inputs: tuple[int, ...]
     seq: GraphSequence
     states: list[list[Any]]  # states[p][s], s = 0..rounds
@@ -212,8 +192,6 @@ def run(
         detected_history.append(tuple(detected_row))
 
     return Execution(
-        algorithm_name=algorithm.name,
-        algorithm_params=dict(getattr(algorithm, "params", {})),
         inputs=tuple(inputs),
         seq=seq,
         states=states,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .engine import Execution
-from .graphs import CommGraph, GraphSequence, causal_past, maximal_runs, root_components
+from .graphs import CommGraph, GraphSequence, causal_past, maximal_runs
 
 
 @dataclass
@@ -330,8 +330,3 @@ def brute_force_roots(g: CommGraph) -> frozenset[frozenset[int]]:
         if ok:
             found.append(members)
     return frozenset(found)
-
-
-def verify_root_computation(g: CommGraph) -> bool:
-    """Cross-check the fast root computation against the brute-force oracle."""
-    return root_components(g) == brute_force_roots(g)

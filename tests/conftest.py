@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from typing import Any
 
 from rootsim.graphs import CommGraph, GraphSequence
 from rootsim import engine
@@ -27,11 +26,8 @@ class Probe:
     """Minimal algorithm whose state is just its (pid, input); exposes a
     per-round hook so tests can interrogate live process views."""
 
-    name = "probe"
-
     def __init__(self, hook=None):
         self.hook = hook
-        self.params: dict[str, Any] = {}
 
     def initial_state(self, pid: int, x: int):
         return (pid, x)

@@ -116,7 +116,7 @@ def test_criterion_4_information_propagation_brute_force():
             graphs = []
             while len(graphs) < n:
                 g = adversary._random_rooted_graph(
-                    rng, n, adversary._random_root_set(rng, n, None), density=0.3
+                    rng, n, adversary._random_root_set(rng, n), density=0.3
                 )
                 graphs.append(g)
             # X: one representative from every root component.

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,34 @@ class TestScenario:
 
     def test_bad_params(self):
         assert main(["scenario", "indist-a", "--n", "3", "--D", "2", "--horizon", "8"]) == 2
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "4", "--D", "2", "--seed", "1"],
+            ["scenario", "lossy-link", "--horizon", "3000", "--seed", "1"],
+            ["sweep", "--n", "3", "--D", "1", "--seed", "0", "--trials", "2"],
+        ],
+        ids=["run", "scenario", "sweep"],
+    )
+    def test_closed_stdout_exits_141_without_traceback(self, argv):
+        # Standard output is a pipe whose reader is already gone, as when
+        # the reader of `rootsim ... | head -1` has exited.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rootsim.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert b"Traceback" not in proc.stderr
 
 
 class TestSequenceInput:

@@ -4,7 +4,7 @@ import pytest
 
 from rootsim.detection import estimate_root
 from rootsim.engine import run
-from rootsim.graphs import CommGraph, GraphSequence, single_root, star
+from rootsim.graphs import CommGraph, GraphSequence, members, single_root, star
 from rootsim.adversary import AdversarySpec, generate_stable, generate_rooted
 from rootsim.verification import brute_force_roots
 
@@ -134,8 +134,8 @@ class TestMonotonicity:
 def unmemoized_estimate(view, s):
     """The estimate by exhaustive search: the unique closed, strongly
     connected set of processes whose round-s reports the view can read."""
-    known = {q for q in range(view.n) if view.in_report(q, s) is not None}
-    reported = CommGraph(view.n, {(u, q) for q in known for u in view.in_report(q, s)})
+    known = {q for q in range(view.n) if view.in_report_mask(q, s) is not None}
+    reported = CommGraph(view.n, {(u, q) for q in known for u in members(view.in_report_mask(q, s))})
     found = [R for R in brute_force_roots(reported) if R <= known]
     return found[0] if len(found) == 1 else None
 

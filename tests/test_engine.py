@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from rootsim import adversary
+from rootsim.algorithms import LockingConsensus, VotingConsensus
 from rootsim.engine import NEVER, EngineError, run, views_equal_until
-from rootsim.graphs import CommGraph, GraphSequence, causal_past, star
+from rootsim.graphs import CommGraph, GraphSequence, causal_past, members, star
 
 from conftest import Probe, random_sequence
 
@@ -59,21 +61,46 @@ class TestLastHeard:
 
         def hook(state, view, r):
             if r == 5 and view.owner == 1:
-                seen["last_heard_0"] = view.last_heard(0)
-                seen["last_heard_self"] = view.last_heard(1)
+                seen["lastround"] = list(view.lastround)
 
         run(Probe(hook), [0, 1], GraphSequence(2, tuple(graphs)))
-        assert seen == {"last_heard_0": 2, "last_heard_self": 5}
+        # Its own entry is 4: its round-5 state is being computed.
+        assert seen == {"lastround": [2, 4]}
 
     def test_owner_hears_itself_in_round_one(self):
+        # Before its first computation a process knows its own initial
+        # state and its own round-1 receive report, and nothing of others.
         captured = {}
 
         def hook(state, view, r):
             if view.owner == 0 and r == 1:
-                captured["val"] = view.last_heard(0)
+                captured["lastround"] = list(view.lastround)
+                captured["report"] = view.in_report_mask(0, 1)
 
         run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),)))
-        assert captured["val"] == 1
+        assert captured == {"lastround": [0, NEVER], "report": 1}
+
+    @pytest.mark.parametrize("algorithm", ["locking", "voting", "probe"])
+    def test_owner_entry_is_previous_round(self, algorithm):
+        if algorithm == "locking":
+            spec = adversary.AdversarySpec(n=4, D=2, x=3, horizon=70, seed=1, stability_start=4)
+            algo, seq = LockingConsensus(N=4, D=2), adversary.generate_stable(spec)[0]
+        elif algorithm == "voting":
+            base, _ = adversary.generate_rooted(4, 27, 0, stable_len=9)
+            algo, seq = VotingConsensus(), adversary.compound_sequence(base)
+        else:
+            algo, seq = Probe(), random_sequence(random.Random(5), 4, 12)
+        seen = []
+        step = algo.step
+
+        def recording_step(state, view, r):
+            seen.append((view.owner, r, view.lastround[view.owner]))
+            return step(state, view, r)
+
+        algo.step = recording_step
+        exec_ = run(algo, [0, 1, 1, 0], seq)
+        assert len(seen) == exec_.n * exec_.rounds
+        assert all(last == r - 1 for _, r, last in seen)
 
 
 class TestDeterminism:
@@ -120,9 +147,6 @@ class TestContracts:
 
     def test_decision_revocation_rejected(self):
         class Flaky:
-            name = "flaky"
-            params = {}
-
             def initial_state(self, pid, x):
                 return FlakyState(decided=True, decision=x)
 
@@ -147,7 +171,7 @@ class TestContracts:
 
         def hook(state, view, r):
             if view.owner == 0:
-                results[r] = view.last_state_round(0)
+                results[r] = view.lastround[0]
                 view.state(0, r - 1)  # must be readable
                 with pytest.raises(EngineError):
                     view.state(0, r)
@@ -160,7 +184,7 @@ class TestContracts:
 
         def hook(state, view, r):
             if r == 2:
-                reports[view.owner] = view.in_report(0, 1)
+                reports[view.owner] = frozenset(members(view.in_report_mask(0, 1)))
 
         run(Probe(hook), [0, 1, 2], GraphSequence(3, (star(0, 3),) * 2))
         # Everyone received 0's round-1 state in round 2, which carries 0's

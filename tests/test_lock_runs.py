@@ -133,14 +133,19 @@ def test_run_walk_matches_window_scans(executions):
         for r in range(1, exec_.rounds + 1):
             for p in range(n):
                 view = view_at(exec_, p, r)
+                # The heard rule spelled out from the recorded knowledge: p
+                # always hears itself, its newest state being round r-1's;
+                # anyone else counts from p's knowledge of it.
+                known = exec_.lastrounds[r - 1][p]
+                newest_round = [r - 1 if q == p else known[q] for q in range(n)]
                 lo = max(0, r - N)
-                window = [keys[q][lo : view.last_state_round(q) + 1] for q in range(n) if view.last_heard(q) >= lo]
+                window = [keys[q][lo : newest_round[q] + 1] for q in range(n) if q == p or known[q] >= lo]
                 runs = key_runs(view, lo)
                 assert sum(end - start + 1 for start, end, _ in runs) == sum(map(len, window))
                 assert {k for _, _, k in runs if k is not None} == {k for w in window for k in w if k is not None}
 
                 lo2 = max(0, r - N * (D + 2 * N))
-                heard = [q for q in range(n) if view.last_heard(q) >= lo2]
+                heard = [q for q in range(n) if q == p or known[q] >= lo2]
                 for v in set(inputs):
                     scanned = [s for w in window for s, k in enumerate(w, start=lo) if k != v]
                     walked = [(start, end) for start, end, k in runs if k != v]
@@ -151,8 +156,8 @@ def test_run_walk_matches_window_scans(executions):
                     for span in (N * (D + 2 * N), (D + 2 * N) ** 2):
                         s_lo = max(0, r - span)
                         scan_guard = all(
-                            set(keys[q][s_lo : view.last_state_round(q) + 1]) <= {v} for q in heard
+                            set(keys[q][s_lo : newest_round[q] + 1]) <= {v} for q in heard
                         )
-                        newest = [view.state(q, view.last_state_round(q)) for q in heard]
+                        newest = [view.state(q, newest_round[q]) for q in heard]
                         walk_guard = all(key(st) == v and st.since <= s_lo for st in newest)
                         assert scan_guard == walk_guard, (p, r, v, span)

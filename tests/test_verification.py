@@ -28,8 +28,6 @@ def make_exec(inputs, rows):
     rounds = len(rows[0]) - 1
     seq = GraphSequence(n, (g(n, []),) * rounds)
     return Execution(
-        algorithm_name="handmade",
-        algorithm_params={},
         inputs=tuple(inputs),
         seq=seq,
         states=[list(r) for r in rows],
