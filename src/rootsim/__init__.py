@@ -6,9 +6,6 @@ from .graphs import (
     GraphSequence,
     causal_past,
     compound,
-    compound_all,
-    in_neighborhood,
-    is_rooted,
     root_components,
     single_root,
     star,
@@ -20,9 +17,6 @@ __all__ = [
     "GraphSequence",
     "causal_past",
     "compound",
-    "compound_all",
-    "in_neighborhood",
-    "is_rooted",
     "root_components",
     "single_root",
     "star",

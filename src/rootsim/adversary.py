@@ -101,19 +101,6 @@ class MembershipReport:
         }
 
 
-def check_rooted(seq: GraphSequence) -> list[bool]:
-    """Per-round flag: does round r's graph have exactly one root component?"""
-    return [root is not None for root in seq.roots]
-
-
-def stable_runs(seq: GraphSequence) -> list[tuple[int, int, frozenset[int]]]:
-    """Maximal runs (start, end, R) of consecutive rounds rooted with the same R.
-
-    Rounds whose graph is not rooted belong to no run.
-    """
-    return maximal_runs(seq.roots)
-
-
 def check_diam(seq: GraphSequence, D: int) -> tuple[bool, dict[str, Any] | None]:
     """Verify the diameter property on every window of D same-root rounds.
 
@@ -121,7 +108,7 @@ def check_diam(seq: GraphSequence, D: int) -> tuple[bool, dict[str, Any] | None]
     every process must have all of R in its causal past across the window.
     Returns (ok, first violation as a dict or None).
     """
-    for start, end, root in stable_runs(seq):
+    for start, end, root in maximal_runs(seq.roots):
         for r1 in range(start, end - D + 2):
             hi = r1 + D - 1
             for p in range(seq.n):
@@ -174,10 +161,9 @@ def check_star_window(seq: GraphSequence, y: int) -> list[tuple[int, int, frozen
 
 def membership_report(seq: GraphSequence, D: int, x: int) -> MembershipReport:
     """Run all checkers and collect the results in one report."""
-    rooted = check_rooted(seq)
-    first_unrooted = next((r for r, ok in enumerate(rooted, start=1) if not ok), None)
+    first_unrooted = next((r for r, root in enumerate(seq.roots, start=1) if root is None), None)
     diam_ok, diam_violation = check_diam(seq, D)
-    windows = stable_runs(seq)
+    windows = maximal_runs(seq.roots)
     stability_ok = any(e - s + 1 >= x for (s, e, _) in windows)
     nonsplit_ok, first_split = check_nonsplit(seq)
     return MembershipReport(
@@ -330,10 +316,7 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
         in_window = a <= r <= b
         if r == 1:
             root = anchor_root
-            g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
         elif r == 2:
-            # Round 2's root contains the anchor, which broadcasts so that
-            # everyone learns round 1's receive reports this round.
             root = anchor_root | _random_root_set(rng, n)
             tries = 0
             while root in (anchor_root, window_root):
@@ -341,14 +324,15 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
                 tries += 1
                 if tries > 200:
                     raise GenerationError("cannot draw a round-2 root")
-            g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
-            g = CommGraph.from_ins([m | 1 << anchor for m in g.ins])
         elif in_window:
             root = window_root
-            g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
         else:
             root = _random_root_set(rng, n, prev_root, window_root)
-            g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
+        g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
+        if r == 2:
+            # Round 2's root contains the anchor, which broadcasts so that
+            # everyone learns round 1's receive reports this round.
+            g = CommGraph.from_ins([m | 1 << anchor for m in g.ins])
         graphs.append(g)
         prev_root = root
 
@@ -415,7 +399,7 @@ def generate_rooted(
         graphs.append(_random_rooted_graph(rng, n, root, density=0.25))
         prev_root = root
     seq = GraphSequence(n, tuple(graphs))
-    if not all(check_rooted(seq)):
+    if None in seq.roots:
         raise GenerationError("generated sequence has an unrooted round")
     return seq, window
 

@@ -103,6 +103,8 @@ class LockingConsensus:
             raise ValueError(f"unknown prune mode {prune!r}")
         if decide_rule not in ("sliding", "exact"):
             raise ValueError(f"unknown decide_rule {decide_rule!r}")
+        if not (isinstance(adopt_unanimous, bool) and isinstance(backoff, bool)):
+            raise ValueError("adopt_unanimous and backoff must be true or false")
         self.N = N
         self.D = D
         self.history_window = history_window

@@ -19,13 +19,19 @@ from typing import Any
 
 from . import adversary, engine, verification
 from .algorithms import LockingConsensus, VotingConsensus
-from .graphs import GraphError, GraphSequence, read_jsonl, write_jsonl
+from .graphs import GraphError, GraphSequence, maximal_runs, read_jsonl, write_jsonl
 
 # Decisions of the voting algorithm land this many compound rounds after
 # the second graph of the first broadcast window (observed constant; the
 # second graph delivers the root's states, the round after spreads the
 # unanimous vote).
 VOTING_DECISION_OFFSET = 1
+
+# Config fields that the `run` and `sweep` flags override.
+RUN_KEYS = ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
+            "history_window", "prune", "decide_rule", "stability_start"]
+# Optional LockingConsensus knobs; the constructor holds their defaults.
+LOCKING_KNOBS = ("history_window", "prune", "adopt_unanimous", "backoff", "decide_rule")
 
 
 class UsageError(Exception):
@@ -45,9 +51,20 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return cfg
 
 
-def _merge(cfg: dict[str, Any], args: argparse.Namespace, keys: list[str]) -> dict[str, Any]:
+def _load_sequence(path: str, n: int) -> GraphSequence:
+    try:
+        with open(path) as fh:
+            seq = read_jsonl(fh)
+    except (OSError, GraphError) as exc:
+        raise UsageError(f"cannot load sequence: {exc}") from exc
+    if seq.n != n:
+        raise UsageError(f"sequence has n={seq.n}, config says {n}")
+    return seq
+
+
+def _merge(cfg: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
     merged = dict(cfg)
-    for key in keys:
+    for key in RUN_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -60,13 +77,30 @@ def _resolve_inputs(cfg: dict[str, Any], n: int, seed: int) -> list[int]:
         rng = random.Random(f"inputs-{seed}")
         return [rng.randint(0, 1) for _ in range(n)]
     if isinstance(inputs, list) and len(inputs) == n:
-        return [int(v) for v in inputs]
+        try:
+            return [int(v) for v in inputs]
+        except (TypeError, ValueError):
+            pass
     raise UsageError(f"inputs must be 'random-binary' or a list of {n} integers")
+
+
+def _int(cfg: dict[str, Any], key: str, default: int | None = None) -> int:
+    """Config field `key` as an int, or `default` when it is unset; without
+    a default the field is required."""
+    value = cfg.get(key)
+    if value is None:
+        if default is None:
+            raise UsageError(f"{key} is required")
+        return default
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be an integer, got {value!r}") from None
 
 
 def _horizon(cfg: dict[str, Any], default: int) -> int:
     """The configured horizon, or `default` when none is set."""
-    horizon = default if cfg.get("horizon") is None else int(cfg["horizon"])
+    horizon = _int(cfg, "horizon", default)
     if horizon < 1:
         raise UsageError(f"the horizon must be >= 1, got {horizon}")
     return horizon
@@ -74,13 +108,10 @@ def _horizon(cfg: dict[str, Any], default: int) -> int:
 
 def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
     """Fill in derived run parameters for the locking algorithm."""
-    try:
-        n = int(cfg["n"])
-    except KeyError:
-        raise UsageError("n is required") from None
-    N = int(cfg.get("N", n))
-    D = int(cfg.get("D", max(1, n - 1)))
-    x = int(cfg.get("x", D + 1))
+    n = _int(cfg, "n")
+    N = _int(cfg, "N", n)
+    D = _int(cfg, "D", max(1, n - 1))
+    x = _int(cfg, "x", D + 1)
     if N < n:
         raise UsageError(f"the size bound N must be >= n, got N={N}, n={n}")
     if not (1 <= D <= max(1, n - 1)):
@@ -90,23 +121,14 @@ def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
     decide_span = N * (D + 2 * N)
     plan = {"n": n, "N": N, "D": D, "x": x, "decide_span": decide_span, "seed": seed}
     if cfg.get("sequence"):
-        try:
-            with open(cfg["sequence"]) as fh:
-                seq = read_jsonl(fh)
-        except (OSError, GraphError) as exc:
-            raise UsageError(f"cannot load sequence: {exc}") from exc
-        if seq.n != n:
-            raise UsageError(f"sequence has n={seq.n}, config says {n}")
-        runs = adversary.stable_runs(seq)
-        window = next(((s, e, root) for (s, e, root) in runs if e - s + 1 >= x), None)
-        plan.update(seq=seq, window=window)
-        plan["horizon"] = _horizon(cfg, len(seq))
+        seq = _load_sequence(cfg["sequence"], n)
+        window = next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
+        plan.update(seq=seq, window=window, horizon=_horizon(cfg, len(seq)))
     else:
         if n < 2:
             raise UsageError(f"generating a sequence needs n >= 2, got n={n}")
         rng = random.Random(f"window-{seed}")
-        start = cfg.get("stability_start")
-        start = rng.randint(3, x + n + 2) if start is None else int(start)
+        start = _int(cfg, "stability_start", rng.randint(3, x + n + 2))
         if start < 3:
             raise UsageError(f"the stable window starts at round 3 or later, got {start}")
         b = start + x - 1
@@ -125,15 +147,10 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
     plan = _plan_locking(cfg, seed)
     seq, window = plan["seq"], plan["window"]
     n, N, D = plan["n"], plan["N"], plan["D"]
-    algo = LockingConsensus(
-        N=N,
-        D=D,
-        history_window=cfg.get("history_window", "deadline"),
-        prune=cfg.get("prune", "max"),
-        adopt_unanimous=cfg.get("adopt_unanimous", True),
-        backoff=cfg.get("backoff", True),
-        decide_rule=cfg.get("decide_rule", "sliding"),
-    )
+    try:
+        algo = LockingConsensus(N=N, D=D, **{k: cfg[k] for k in LOCKING_KNOBS if k in cfg})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     inputs = _resolve_inputs(cfg, n, seed)
     exec_ = engine.run(algo, inputs, seq, horizon=min(plan["horizon"], len(seq)))
     deadline = window[1] + plan["decide_span"] if window else exec_.rounds
@@ -143,27 +160,22 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
         verdict.invariant_failures.extend(
             verification.check_detection_completeness(exec_, window, D)
         )
+        verdict.invariant_failures.extend(verification.check_post_window_lock(exec_, window, D))
     verdict.invariant_failures.extend(verification.check_locked_root_convergence(exec_, D, N))
     verdict.invariant_failures.extend(verification.check_agreement_stability(exec_))
     return exec_, verdict
 
 
 def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verification.Verdict]:
-    try:
-        n = int(cfg["n"])
-    except KeyError:
-        raise UsageError("n is required") from None
+    n = _int(cfg, "n")
     if n < 2:
         raise UsageError("the voting algorithm needs n >= 2")
     stable_len = 3 * (n - 1)
-    horizon = _horizon(cfg, stable_len + 6 * (n - 1))
     if cfg.get("sequence"):
-        try:
-            with open(cfg["sequence"]) as fh:
-                base = read_jsonl(fh)
-        except (OSError, GraphError) as exc:
-            raise UsageError(f"cannot load sequence: {exc}") from exc
+        base = _load_sequence(cfg["sequence"], n)
+        base = GraphSequence(n, base.graphs[: _horizon(cfg, len(base))])
     else:
+        horizon = _horizon(cfg, stable_len + 6 * (n - 1))
         if horizon < stable_len:
             raise UsageError(f"horizon {horizon} is shorter than the {stable_len}-round stable window")
         horizon -= horizon % (n - 1)
@@ -202,13 +214,8 @@ def _write_outputs(args: argparse.Namespace, exec_: engine.Execution, verdict: v
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _merge(
-        _load_config(args.config),
-        args,
-        ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
-         "history_window", "prune", "decide_rule", "stability_start"],
-    )
-    seed = int(cfg.get("seed", 0))
+    cfg = _merge(_load_config(args.config), args)
+    seed = _int(cfg, "seed", 0)
     exec_, verdict = run_once(cfg, seed)
     _write_outputs(args, exec_, verdict)
     print(json.dumps(verdict.to_json(), indent=2))
@@ -216,16 +223,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _merge(
-        _load_config(args.config),
-        args,
-        ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
-         "history_window", "prune", "decide_rule", "stability_start"],
-    )
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 0))
+    cfg = _merge(_load_config(args.config), args)
+    trials = args.trials if args.trials is not None else _int(cfg, "trials", 0)
     if trials < 1:
         raise UsageError("--trials must be >= 1")
-    base_seed = int(cfg.get("seed", 0))
+    base_seed = _int(cfg, "seed", 0)
     passed, failures, crashes = 0, [], []
     decision_offsets: list[int] = []
     for i in range(trials):
@@ -242,7 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if verdict.ok:
             passed += 1
             last_decisions = [
-                next(r for r in range(1, exec_.rounds + 1) if exec_.state(p, r).decided)
+                next(r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decided)
                 for p in range(exec_.n)
             ]
             decision_offsets.append(verdict.deadline - max(last_decisions))

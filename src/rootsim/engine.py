@@ -107,9 +107,6 @@ class Execution:
     def rounds(self) -> int:
         return len(self.lastrounds)
 
-    def state(self, p: int, s: int) -> Any:
-        return self.states[p][s]
-
     def trace_lines(self) -> Iterator[dict[str, Any]]:
         for r in range(1, self.rounds + 1):
             for p in range(self.n):

@@ -68,20 +68,6 @@ class CommGraph:
         return frozenset((u, v) for v, m in enumerate(self.ins) for u in members(m) if u != v)
 
 
-def in_neighborhood(g: CommGraph, p: int) -> frozenset[int]:
-    """Processes p hears from in g, always including p itself."""
-    if not (0 <= p < g.n):
-        raise GraphError(f"process {p} out of range for n={g.n}")
-    return frozenset(members(g.ins[p]))
-
-
-def out_neighborhood(g: CommGraph, p: int) -> frozenset[int]:
-    """Processes that hear p in g, always including p itself."""
-    if not (0 <= p < g.n):
-        raise GraphError(f"process {p} out of range for n={g.n}")
-    return frozenset(v for v, m in enumerate(g.ins) if m >> p & 1)
-
-
 def root_masks(ins: Sequence[int]) -> list[int]:
     """All root components of the graph with in-neighbour masks `ins`, as masks.
 
@@ -137,11 +123,6 @@ def _ancestors(ins: Sequence[int], v: int) -> int:
 def root_components(g: CommGraph) -> frozenset[frozenset[int]]:
     """All root components of g: SCCs with no in-edge from outside."""
     return frozenset(frozenset(members(m)) for m in root_masks(g.ins))
-
-
-def is_rooted(g: CommGraph) -> bool:
-    """True iff g has exactly one root component."""
-    return len(root_components(g)) == 1
 
 
 def single_root(g: CommGraph) -> frozenset[int] | None:

@@ -53,7 +53,7 @@ class Verdict:
 def _decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
     """(value, round) of p's decision, or (None, None)."""
     for r in range(1, exec_.rounds + 1):
-        st = exec_.state(p, r)
+        st = exec_.states[p][r]
         if st.decided:
             return st.decision, r
     return None, None
@@ -113,7 +113,7 @@ def track_v_locked_windows(exec_: Execution) -> list[tuple[int, int, int]]:
     for r, root in enumerate(exec_.seq.roots[: exec_.rounds], start=1):
         value: int | None = None
         if root is not None:
-            states = [exec_.state(q, r) for q in root]
+            states = [exec_.states[q][r] for q in root]
             proposals = {st.proposal for st in states}
             if all(st.locked for st in states) and len(proposals) == 1:
                 (value,) = proposals
@@ -135,7 +135,7 @@ def check_locked_root_convergence(exec_: Execution, D: int, N: int) -> list[dict
         c = start + span - 1
         for r in range(c, exec_.rounds + 1):
             for p in range(exec_.n):
-                proposal = exec_.state(p, r).proposal
+                proposal = exec_.states[p][r].proposal
                 if proposal != v:
                     failures.append({
                         "invariant": "locked-root-convergence",
@@ -148,22 +148,32 @@ def check_locked_root_convergence(exec_: Execution, D: int, N: int) -> list[dict
     return failures
 
 
-def check_lock_invariant_from(exec_: Execution, b: int, v: int) -> list[dict[str, Any]]:
-    """From round b on, everyone is locked on v with a lock backed by b.
+def check_post_window_lock(
+    exec_: Execution, window: tuple[int, int, frozenset[int]], D: int
+) -> list[dict[str, Any]]:
+    """From round a+D on, everyone is locked on the window's value.
 
-    This is the state the designated stable window is supposed to force:
-    locked = True, proposal = v, lockround <= b, and either lockround = b
-    or b is still queued.
+    A stable window [a, b] of at least D+1 rounds with root R lets every
+    process detect R at round c = a+D and lock on v, the maximum round-a
+    proposal of R. From round c on every state must then have locked =
+    True, proposal = v, lockround <= c, and either lockround = c or c
+    still queued. The anchor is c, not b: a lock taken at c stays backed
+    by c even when a later round of the window confirms nothing.
     """
+    a, b, root = window
+    c = a + D
+    if b < c or c > exec_.rounds:
+        return []
+    v = max(exec_.states[q][a].proposal for q in root)
     failures: list[dict[str, Any]] = []
-    for r in range(b, exec_.rounds + 1):
+    for r in range(c, exec_.rounds + 1):
         for p in range(exec_.n):
-            st = exec_.state(p, r)
+            st = exec_.states[p][r]
             ok = (
                 st.locked
                 and st.proposal == v
-                and st.lockround <= b
-                and (st.lockround == b or b in st.queue)
+                and st.lockround <= c
+                and (st.lockround == c or c in st.queue)
             )
             if not ok:
                 failures.append({
@@ -177,7 +187,8 @@ def check_lock_invariant_from(exec_: Execution, b: int, v: int) -> list[dict[str
                         "queue": list(st.queue),
                     },
                     "expected_value": v,
-                    "window_end": b,
+                    "window": [a, b],
+                    "lock_round": c,
                 })
     return failures
 
@@ -187,7 +198,7 @@ def check_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
     first_round, value = None, None
     for r in range(1, exec_.rounds + 1):
         for p in range(exec_.n):
-            st = exec_.state(p, r)
+            st = exec_.states[p][r]
             if st.decided and first_round is None:
                 first_round, value = r, st.decision
     if first_round is None:
@@ -195,7 +206,7 @@ def check_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
     failures = []
     for r in range(first_round, exec_.rounds + 1):
         for p in range(exec_.n):
-            proposal = exec_.state(p, r).proposal
+            proposal = exec_.states[p][r].proposal
             if proposal != value:
                 failures.append({
                     "invariant": "post-decision-proposals",

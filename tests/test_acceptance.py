@@ -165,7 +165,7 @@ def test_criterion_6_voting():
             second_graph = stars[0][0] + 1
             for p in range(n):
                 first = next(
-                    (r for r in range(1, exec_.rounds + 1) if exec_.state(p, r).decided),
+                    (r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decided),
                     None,
                 )
                 if first is None or first > second_graph + 2:
@@ -219,3 +219,29 @@ def test_criterion_8_determinism(sweep):
         if seq != rebuilt:
             mismatches.append(("scenario", i))
     assert report(8, not mismatches, f"{len(sample) + 5} replays compared"), mismatches
+
+
+THRESHOLD_CELLS = [(4, 2), (5, 3), (5, 4)]
+
+
+def test_criterion_9_stability_threshold():
+    # The paper's threshold: a stable window of D+1 rounds suffices, and
+    # this algorithm needs all of it. At x = D some seeds miss the
+    # deadline, while safety and every invariant hold at either length.
+    unsafe, missed = [], {}
+    for n, D in THRESHOLD_CELLS:
+        for x in (D + 1, D):
+            missed[n, D, x] = 0
+            for seed in range(10):
+                _, verdict = cli.run_once({"algorithm": "locking", "n": n, "D": D, "x": x}, seed)
+                if not (verdict.agreement and verdict.validity) or verdict.invariant_failures:
+                    unsafe.append((n, D, x, seed))
+                missed[n, D, x] += not verdict.termination
+    ok = not unsafe and all(
+        missed[n, D, D + 1] == 0 and missed[n, D, D] > 0 for n, D in THRESHOLD_CELLS
+    )
+    detail = "; ".join(
+        f"(n, D) = ({n}, {D}) x=D+1 {missed[n, D, D + 1]}, x=D {missed[n, D, D]}"
+        for n, D in THRESHOLD_CELLS
+    )
+    assert report(9, ok, f"late of 10 seeds: {detail}; {len(unsafe)} unsafe"), unsafe[:3]

@@ -2,22 +2,27 @@ import random
 
 import pytest
 
-from rootsim import adversary
 from rootsim.adversary import (
     AdversarySpec,
     GenerationError,
     check_diam,
     check_nonsplit,
-    check_rooted,
     check_star_window,
     compound_sequence,
     generate_rooted,
     generate_stable,
     membership_report,
     scenario,
-    stable_runs,
 )
-from rootsim.graphs import CommGraph, GraphSequence, causal_past, compound, is_rooted, single_root, star
+from rootsim.graphs import (
+    CommGraph,
+    GraphSequence,
+    causal_past,
+    compound,
+    maximal_runs,
+    single_root,
+    star,
+)
 
 
 def g(n, edges):
@@ -27,19 +32,19 @@ def g(n, edges):
 class TestCheckers:
     def test_rooted_all_stars(self):
         seq = GraphSequence(3, (star(0, 3), star(1, 3), star(2, 3)))
-        assert check_rooted(seq) == [True, True, True]
+        assert None not in seq.roots
 
     def test_rooted_flags_edgeless_round(self):
         seq = GraphSequence(3, (star(0, 3), g(3, []), star(0, 3)))
-        assert check_rooted(seq) == [True, False, True]
+        assert [root is not None for root in seq.roots] == [True, False, True]
 
     def test_stability_constant_star(self):
         seq = GraphSequence(3, (star(0, 3),) * 5)
-        assert stable_runs(seq) == [(1, 5, frozenset({0}))]
+        assert maximal_runs(seq.roots) == [(1, 5, frozenset({0}))]
 
     def test_stability_alternating_has_no_window(self):
         seq = GraphSequence(3, (star(0, 3), star(1, 3)) * 3)
-        assert all(e - s + 1 < 2 for (s, e, _) in stable_runs(seq))
+        assert all(e - s + 1 < 2 for (s, e, _) in maximal_runs(seq.roots))
 
     def test_diam_max_diameter_always_ok(self):
         rng = random.Random(2)
@@ -132,10 +137,10 @@ class TestGenerateStable:
     def test_designated_window_is_first(self):
         spec = AdversarySpec(n=4, D=2, x=3, horizon=60, seed=9)
         seq, (a, b, root) = generate_stable(spec)
-        runs = [w for w in stable_runs(seq) if w[1] - w[0] + 1 >= 3]
+        runs = [w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= 3]
         assert runs[0] == (a, b, root)
         # No earlier run reaches length x.
-        for (s, e, _) in adversary.stable_runs(seq):
+        for (s, e, _) in maximal_runs(seq.roots):
             assert e - s + 1 < 3 or s >= a
 
     def test_window_root_unique_to_window(self):
@@ -177,15 +182,15 @@ class TestScenarios:
     def test_indist_a_shape(self):
         D, n = 2, 12
         seq = scenario("indist-a", n=n, D=D, horizon=10)
-        assert all(check_rooted(seq))
+        assert None not in seq.roots
         # Process 0 heads the chain in the early rounds.
         assert single_root(seq.graph(1)) == frozenset({0})
 
     def test_indist_b_has_stable_suffix(self):
         D, n, tau = 2, 12, 6
         seq = scenario("indist-b", n=n, D=D, tau=tau, horizon=tau + 5)
-        assert all(check_rooted(seq))
-        runs = stable_runs(seq)
+        assert None not in seq.roots
+        runs = maximal_runs(seq.roots)
         assert any(s == tau + 1 and e - s + 1 >= 2 * D - 1 for (s, e, _) in runs)
 
     def test_indist_pair_validates_for_relaxed_adversary(self):

@@ -3,7 +3,7 @@ import pytest
 from rootsim import cli, verification
 from rootsim.algorithms import LockingConsensus, LockState, VotingConsensus, value_of_root
 from rootsim.engine import run
-from rootsim.graphs import CommGraph, GraphSequence, star
+from rootsim.graphs import CommGraph, GraphSequence, maximal_runs, star
 
 from conftest import sink_mutation_sequence
 
@@ -38,24 +38,22 @@ class TestLockingBasics:
         deadline = 1 + N * (D + 2 * N)
         seq = GraphSequence(1, (g(1, []),) * (deadline + 2))
         exec_ = run(algo, [42], seq)
-        first = next(r for r in range(1, exec_.rounds + 1) if exec_.state(0, r).decided)
+        first = next(r for r in range(1, exec_.rounds + 1) if exec_.states[0][r].decided)
         assert first == deadline
-        assert exec_.state(0, first).decision == 42
+        assert exec_.states[0][first].decision == 42
 
     def test_stable_window_forces_lock_in(self):
         cfg = {"algorithm": "locking", "n": 4, "D": 2}
         exec_, verdict = cli.run_once(cfg, seed=3)
         assert verdict.ok
-        plan_seq = exec_.seq
         # Recover the designated window from the sequence itself.
-        from rootsim.adversary import stable_runs
-
-        (a, b, root) = next(w for w in stable_runs(plan_seq) if w[1] - w[0] + 1 >= 3)
-        v = max(exec_.state(q, a).proposal for q in root)
+        window = next(w for w in maximal_runs(exec_.seq.roots) if w[1] - w[0] + 1 >= 3)
+        a, b, root = window
+        v = max(exec_.states[q][a].proposal for q in root)
         for p in range(4):
-            st = exec_.state(p, b)
+            st = exec_.states[p][b]
             assert st.locked and st.proposal == v
-        assert not verification.check_lock_invariant_from(exec_, b, v)
+        assert not verification.check_post_window_lock(exec_, window, 2)
 
     def test_all_decide_window_value_by_deadline(self):
         for seed in range(10):
@@ -63,7 +61,7 @@ class TestLockingBasics:
             exec_, verdict = cli.run_once(cfg, seed)
             assert verdict.ok, (seed, verdict.to_json())
             decisions = {
-                exec_.state(p, exec_.rounds).decision for p in range(5)
+                exec_.states[p][exec_.rounds].decision for p in range(5)
             }
             assert len(decisions) == 1
             assert decisions <= set(exec_.inputs)
@@ -133,16 +131,16 @@ class TestVoting:
         seq = GraphSequence(3, (star(0, 3),) * 4)
         exec_ = run(VotingConsensus(), [6, 1, 2], seq)
         for p in range(3):
-            decided = [r for r in range(1, 5) if exec_.state(p, r).decided]
+            decided = [r for r in range(1, 5) if exec_.states[p][r].decided]
             assert decided and decided[0] == 3
-            assert exec_.state(p, 4).decision == 6
+            assert exec_.states[p][4].decision == 6
 
     def test_no_information_keeps_waiting(self):
         # A rooted but uninformative chain: until some root is detectable
         # or a vote circulates, processes keep voting "undecided".
         seq = GraphSequence(3, (g(3, [(0, 1), (1, 2)]),) * 2)
         exec_ = run(VotingConsensus(), [4, 5, 6], seq)
-        assert not any(exec_.state(p, 2).decided for p in (1, 2))
+        assert not any(exec_.states[p][2].decided for p in (1, 2))
 
     def test_sweep_agreement_and_validity(self):
         for seed in range(20):

@@ -8,7 +8,7 @@ import pytest
 
 from rootsim import adversary, cli, graphs
 from rootsim.cli import main
-from rootsim.graphs import read_jsonl
+from rootsim.graphs import read_jsonl, write_jsonl
 
 
 class TestRun:
@@ -73,6 +73,25 @@ class TestBadInput:
         with open(path, "w") as fh:
             write_jsonl(adversary.scenario("chain-a", n=3, D=2, horizon=6), fh)
         assert main(["run", "--n", "3", "--sequence", str(path), "--horizon", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"n": 3, "prune": "bogus"},
+            {"n": "abc"},
+            {"n": 3, "D": "x"},
+            {"n": 3, "inputs": [1, 2, "a"]},
+            {"n": 3, "adopt_unanimous": "no"},
+            {"n": 3, "backoff": 1},
+        ],
+        ids=["prune", "n", "D", "inputs", "adopt_unanimous", "backoff"],
+    )
+    def test_bad_config_value_exits_two(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
@@ -212,6 +231,25 @@ class TestSequenceInput:
         assert main(["run", "--algorithm", "locking", "--n", "4",
                      "--sequence", str(path)]) == 2
 
+    def test_voting_sequence_process_count_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "seq.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(adversary.scenario("lossy-link", horizon=6), fh)
+        assert main(["run", "--algorithm", "voting", "--n", "3", "--sequence", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_voting_replay_honours_horizon(self, tmp_path):
+        base, _ = adversary.generate_rooted(3, 24, 0, stable_len=6)
+        path = tmp_path / "seq.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(base, fh)
+        cfg = {"algorithm": "voting", "n": 3, "sequence": str(path)}
+        full, _ = cli.run_once(cfg, 0)
+        cut, _ = cli.run_once(dict(cfg, horizon=4), 0)
+        assert (full.rounds, cut.rounds) == (12, 2)
+        assert cut.seq.graphs == full.seq.graphs[:2]
+
 
 class TestDerivedConstants:
     def test_voting_decision_offset_recorded(self):
@@ -227,7 +265,7 @@ class TestDerivedConstants:
             second_graph = stars[0][0] + 1
             for p in range(4):
                 first = next(
-                    r for r in range(1, exec_.rounds + 1) if exec_.state(p, r).decided
+                    r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decided
                 )
                 offsets.append(first - second_graph)
         assert max(offsets) == cli.VOTING_DECISION_OFFSET

@@ -3,12 +3,13 @@ import pytest
 from rootsim import cli, verification
 from rootsim.algorithms import LockingConsensus, LockState
 from rootsim.engine import Execution, run, views_equal_until
-from rootsim.graphs import CommGraph, GraphSequence, star
+from rootsim.graphs import CommGraph, GraphSequence, maximal_runs, star
 from rootsim.verification import (
     brute_force_roots,
     check_agreement_stability,
     check_consensus,
     check_information_propagation,
+    check_post_window_lock,
     track_v_locked_windows,
 )
 
@@ -89,7 +90,7 @@ class TestLockedWindows:
             assert s <= e < s2
         last = windows[-1]
         assert last[1] == exec_.rounds
-        assert last[2] == exec_.state(0, exec_.rounds).decision
+        assert last[2] == exec_.states[0][exec_.rounds].decision
 
     def test_broken_round_splits_window(self):
         rows = [
@@ -113,6 +114,37 @@ class TestAgreementStability:
         ]
         failures = check_agreement_stability(make_exec([1, 2], rows))
         assert failures and failures[0]["process"] == 1
+
+
+class TestPostWindowLock:
+    @pytest.mark.parametrize("n,D,seed", [(3, 2, 14), (4, 3, 4), (5, 4, 1)])
+    def test_lock_anchored_at_a_plus_D_in_longer_windows(self, n, D, seed):
+        exec_, verdict = cli.run_once({"algorithm": "locking", "n": n, "D": D, "x": D + 2}, seed)
+        assert verdict.ok, verdict.to_json()
+        # Some process holds, at the window end b, the lock it took at
+        # round a+D without b confirming it: anchored at b, the invariant
+        # would fail on these runs.
+        _, b, _ = next(w for w in maximal_runs(exec_.seq.roots) if w[1] - w[0] >= D + 1)
+        assert any(
+            exec_.states[p][b].lockround != b and b not in exec_.states[p][b].queue
+            for p in range(n)
+        )
+
+    def test_unlocked_state_after_anchor_reported(self):
+        # Window rounds 1..2 with root {0} and D = 1: from round 2 on every
+        # state must hold a lock on 1 taken at round 2 or with 2 queued.
+        backed = LockState(1, True, 2, (), False, None)
+        queued = LockState(1, True, 1, (2,), False, None)
+        unlocked = LockState(1, False, 2, (), False, None)
+        rows = [
+            [locked(1), locked(1), backed, queued],
+            [locked(1), locked(1), backed, unlocked],
+        ]
+        exec_ = make_exec([1, 1], rows)
+        failures = check_post_window_lock(exec_, (1, 2, frozenset({0})), 1)
+        assert [(f["round"], f["process"]) for f in failures] == [(3, 1)]
+        # A window shorter than D+1 rounds forces no lock.
+        assert check_post_window_lock(exec_, (1, 2, frozenset({0})), 2) == []
 
 
 class TestIndistinguishability:
