@@ -15,41 +15,121 @@ two consecutive broadcast rounds from a stable root.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Iterator, NamedTuple
 
 from .detection import estimate_root
 from .engine import ProcessView
 from .graphs import members
 
 
+class LockQueue:
+    """A lock queue: the confirmation rounds log[lo:hi] of one append-only
+    list per process.
+
+    Confirmations are appended in increasing round order and backoff drops
+    a prefix, so every queue a process holds is a slice of the list that
+    its initial state created; a state stores the bounds, not a copy. A
+    queue is never mutated: `append` and `drop_through` return new ones.
+    It compares and hashes like the tuple of its rounds, and equal to that
+    tuple, so a hand-built LockState may hold a plain tuple."""
+
+    __slots__ = ("log", "lo", "hi")
+
+    def __init__(self, log: list[int], lo: int, hi: int):
+        self.log = log
+        self.lo = lo
+        self.hi = hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.log[self.lo : self.hi])
+
+    def __getitem__(self, i: int) -> int:
+        if not -len(self) <= i < len(self):
+            raise IndexError("queue index out of range")
+        return self.log[(self.lo if i >= 0 else self.hi) + i]
+
+    def __contains__(self, t: object) -> bool:
+        i = bisect_left(self.log, t, self.lo, self.hi)
+        return i < self.hi and self.log[i] == t
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LockQueue):
+            return self.log[self.lo : self.hi] == other.log[other.lo : other.hi]
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"LockQueue({tuple(self)!r})"
+
+    def append(self, t: int) -> LockQueue:
+        """This queue with round t (later than every queued round) added.
+        If entries were appended past this queue's end, as when an older
+        state is stepped again, they belong to later states: the append
+        goes to a copy instead."""
+        log, lo, hi = self.log, self.lo, self.hi
+        if hi != len(log):
+            log, lo, hi = log[lo:hi], 0, hi - lo
+        log.append(t)
+        return LockQueue(log, lo, hi + 1)
+
+    def drop_through(self, cut: int) -> LockQueue:
+        """This queue without the rounds up to and including cut."""
+        lo = bisect_right(self.log, cut, self.lo, self.hi)
+        return self if lo == self.lo else LockQueue(self.log, lo, self.hi)
+
+
 class LockState(NamedTuple):
     """One process's locking state. Its key is its proposal if it is locked,
     else None; `since` is the first round of the maximal run of equal keys
     in the process's state row that ends at this state. `since` is derived
-    bookkeeping and is not traced."""
+    bookkeeping and is not traced. `queue` is a window on the process's
+    queue log (LockQueue); any tuple of rounds also serves where no round
+    computation steps the state."""
 
     proposal: int
     locked: bool
     lockround: int
-    queue: tuple[int, ...]
+    queue: LockQueue | tuple[int, ...]
     decided: bool
     decision: int | None
     since: int = 0
 
 
-def key_runs(view: ProcessView, lo: int) -> list[tuple[int, int, int | None]]:
-    """The recorded states from round lo on of every process heard from
-    since round lo, as maximal runs of equal keys: (first round, last round,
-    key), each process's oldest run clipped to lo. The walk jumps from run
-    to run through `since`, so it reads one state per run."""
-    runs = []
-    for q, s in enumerate(view.lastround):
-        while s >= lo:
-            st = view.state(q, s)
+def scan_recent(view: ProcessView, lo: int, proposal: int) -> tuple[set[int], int | None, int | None]:
+    """One walk over the recorded states from round lo on of every process
+    heard from since round lo, as maximal runs of equal keys, each
+    process's oldest run clipped to lo. Returns the locked values among
+    them and the backoff cuts against `proposal`: the latest end (max
+    prune) and the earliest start (min prune) of a run whose key differs
+    from it, both None if there is no such run. The walk jumps from run to
+    run through `since`, so it reads one state per run."""
+    locked_values: set[int] = set()
+    max_cut = min_cut = None
+    for q, s, st in view.newest(lo):
+        while True:
             since = st.since
-            runs.append((since if since > lo else lo, s, st.proposal if st.locked else None))
+            key = st.proposal if st.locked else None
+            start = since if since > lo else lo
+            if key is not None:
+                locked_values.add(key)
+            if key != proposal:
+                if max_cut is None or s > max_cut:
+                    max_cut = s
+                if min_cut is None or start < min_cut:
+                    min_cut = start
+            if since <= lo:
+                break
             s = since - 1
-    return runs
+            st = view.state(q, s)
+    return locked_values, max_cut, min_cut
 
 
 class VoteState(NamedTuple):
@@ -62,15 +142,18 @@ class VoteState(NamedTuple):
 class LockingConsensus:
     """Locking consensus; parameters N (known bound on n, N >= n) and D.
 
-    Every query over recent states reads them as runs of equal keys
-    (`key_runs`): the locked values seen in the last N rounds, the backoff
-    witnesses among them, and the decide guard, which holds when each heard
-    process's newest state holds our locked proposal and its run (`since`)
-    began by the start of the guard's lookback.
+    The queries over recent states read them as runs of equal keys: one
+    walk (`scan_recent`) finds the locked values seen in the last N rounds
+    and the backoff cuts among them, and the decide guard holds when each
+    heard process's newest state holds our locked proposal and its run
+    (`since`) began by the start of the guard's lookback.
 
     Optional knobs (defaults are the verified configuration):
     - history_window: the lookback of the decide guard. "deadline" makes it
-      the decide span N(D+2N) itself; "squared" uses the wider (D+2N)^2.
+      the decide span N(D+2N) itself; "squared" uses the wider (D+2N)^2,
+      which outlasts the N(D+2N) rounds that termination-by-deadline
+      allows after the stable window. "squared" is a mutation: at n=4,
+      D=2 it misses the deadline on 8 of seeds 0..9, though safety holds.
     - prune: on backoff, drop queued confirmations up to the "max" (default)
       or "min" violating state round.
     - adopt_unanimous: enable the unanimous-locked-value adoption rule
@@ -114,7 +197,9 @@ class LockingConsensus:
         self.decide_rule = decide_rule
 
     def initial_state(self, pid: int, x: int) -> LockState:
-        return LockState(proposal=x, locked=True, lockround=1, queue=(), decided=False, decision=None)
+        return LockState(
+            proposal=x, locked=True, lockround=1, queue=LockQueue([], 0, 0), decided=False, decision=None
+        )
 
     def trace_fields(self, state: LockState) -> dict[str, Any]:
         return {
@@ -134,12 +219,6 @@ class LockingConsensus:
         proposal, locked, lockround, queue, decided, decision, since = state
 
         root = estimate_root(view, r - D) if r > D else None
-
-        # Recent states: everyone whose fresh-enough state reached us, with
-        # all their recorded states inside the N-round lookback, as runs.
-        lo = max(0, r - N)
-        runs = key_runs(view, lo)
-        locked_values = {key for _, _, key in runs if key is not None}
 
         if root is not None:
             candidate = max(view.state(q, r - D).proposal for q in root)
@@ -161,23 +240,26 @@ class LockingConsensus:
             if adopt:
                 proposal, locked, lockround = candidate, True, r
             elif candidate == proposal:
-                queue = queue + (r,)
+                queue = queue.append(r)
 
-        if self.backoff and r >= lockround + N:
-            violating = [(start, end) for start, end, key in runs if key != proposal]
-            if violating:
-                starts, ends = zip(*violating)
-                cut = max(ends) if self.prune == "max" else min(starts)
-                queue = tuple(t for t in queue if t > cut)
+        # Backoff needs r >= lockround + N, and unanimous adoption needs
+        # r >= lockround + 2N with a lockround that only a backoff can move:
+        # when neither can fire, skip the walk over recent states.
+        if r >= lockround + N and (self.backoff or (self.adopt_unanimous and r >= lockround + 2 * N)):
+            # Recent states: everyone whose fresh-enough state reached us,
+            # with all their recorded states inside the N-round lookback.
+            locked_values, max_cut, min_cut = scan_recent(view, max(0, r - N), proposal)
+            if self.backoff and max_cut is not None:
+                queue = queue.drop_through(max_cut if self.prune == "max" else min_cut)
                 if queue:
                     lockround = queue[0]
                 else:
                     locked = False
 
-        if self.adopt_unanimous and r >= lockround + 2 * N and len(locked_values) == 1:
-            (unanimous,) = locked_values
-            if unanimous != proposal:
-                proposal = unanimous
+            if self.adopt_unanimous and r >= lockround + 2 * N and len(locked_values) == 1:
+                (unanimous,) = locked_values
+                if unanimous != proposal:
+                    proposal = unanimous
 
         at_deadline = (
             r >= self.deadline(lockround)
@@ -190,8 +272,7 @@ class LockingConsensus:
             s_lo = max(0, r - span)
             # q's states from s_lo on all hold our locked proposal iff its
             # newest one does and that one's run began by s_lo.
-            newest = [view.state(q, s) for q, s in enumerate(view.lastround) if s >= lo2]
-            if all(st.locked and st.proposal == proposal and st.since <= s_lo for st in newest):
+            if all(st.locked and st.proposal == proposal and st.since <= s_lo for _, _, st in view.newest(lo2)):
                 decided, decision = True, proposal
 
         if (proposal if locked else None) != (state.proposal if state.locked else None):

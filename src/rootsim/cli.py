@@ -173,7 +173,11 @@ def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verif
     stable_len = 3 * (n - 1)
     if cfg.get("sequence"):
         base = _load_sequence(cfg["sequence"], n)
-        base = GraphSequence(n, base.graphs[: _horizon(cfg, len(base))])
+        rounds = min(_horizon(cfg, len(base)), len(base))
+        rem = rounds % (n - 1)
+        if rem:
+            print(f"warning: dropping {rem} trailing round(s) not filling a block of {n - 1}", file=sys.stderr)
+        base = GraphSequence(n, base.graphs[: rounds - rem])
     else:
         horizon = _horizon(cfg, stable_len + 6 * (n - 1))
         if horizon < stable_len:
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--history-window",
             choices=["deadline", "squared"],
             dest="history_window",
-            help="lookback of the decide guard",
+            help="lookback of the decide guard; 'squared' is a mutation that misses the deadline",
         )
         p.add_argument("--prune", choices=["max", "min"], help="backoff queue pruning witness")
         p.add_argument(

@@ -46,7 +46,8 @@ class ProcessView:
     q's round-s state is readable iff 0 <= s <= lastround[q]. The owner's
     own entry is r-1, since its round-r state is what the current
     computation produces. Every state read goes through `state`, which
-    raises EngineError outside the view. `memo` holds the root estimates
+    raises EngineError outside the view, or through `newest`, which reads
+    only each process's newest known state. `memo` holds the root estimates
     of detection.estimate_root and is shared by every view of one run.
     """
 
@@ -75,6 +76,14 @@ class ProcessView:
                 f"process {self.owner} has no recorded round-{s} state of {q} at round {self.round}"
             )
         return self._states[q][s]
+
+    def newest(self, lo: int) -> list[tuple[int, int, Any]]:
+        """(q, s, q's round-s state) for every q whose newest known round s
+        is at least lo >= 0; each such read lies inside the view."""
+        if lo < 0:
+            raise ValueError(f"need lo >= 0, got {lo}")
+        states = self._states
+        return [(q, s, states[q][s]) for q, s in enumerate(self.lastround) if s >= lo]
 
     def in_report_mask(self, q: int, s: int) -> int | None:
         """IN_q of round s as reported by q itself, as an in-neighbour bit

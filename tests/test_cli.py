@@ -250,6 +250,21 @@ class TestSequenceInput:
         assert (full.rounds, cut.rounds) == (12, 2)
         assert cut.seq.graphs == full.seq.graphs[:2]
 
+    def test_voting_replay_partial_block_warns_in_one_line(self, tmp_path):
+        path = tmp_path / "seq.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(adversary.generate_rooted(3, 24, 0, stable_len=6)[0], fh)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootsim.cli", "run", "--algorithm", "voting", "--n", "3",
+             "--sequence", str(path), "--horizon", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        err = proc.stderr.splitlines()
+        assert err == ["warning: dropping 1 trailing round(s) not filling a block of 2"], err
+        assert "UserWarning" not in proc.stderr
+
 
 class TestDerivedConstants:
     def test_voting_decision_offset_recorded(self):

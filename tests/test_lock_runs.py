@@ -1,5 +1,6 @@
-"""LockingConsensus under every knob: its traces, each state's run start, and
-the run walk against the window slice scans it replaced."""
+"""LockingConsensus under every knob: its traces, each state's run start, the
+walk over recent states against slice scans of the state rows, and the lock
+queues as windows on one log per process."""
 
 import hashlib
 import itertools
@@ -8,7 +9,7 @@ import random
 import pytest
 
 from rootsim import adversary
-from rootsim.algorithms import LockingConsensus, key_runs
+from rootsim.algorithms import LockingConsensus, LockQueue, scan_recent
 from rootsim.engine import ProcessView, run
 
 from conftest import sink_mutation_sequence
@@ -124,9 +125,9 @@ def test_since_starts_each_run_of_equal_keys(executions):
 
 
 def test_run_walk_matches_window_scans(executions):
-    # At every (p, r): the locked values, the backoff cut under both prune
-    # modes and the decide guard under both history windows, for every
-    # proposal value, from key_runs and from slices of the state rows.
+    # At every (p, r) and for every proposal value: the locked values and
+    # both backoff cuts from scan_recent, and the decide guard under both
+    # history windows from the newest states, against slices of the rows.
     for exec_, (n, D, _, inputs) in zip(executions, ORACLE_CASES):
         N = n
         keys = [[key(st) for st in row] for row in exec_.states]
@@ -140,24 +141,76 @@ def test_run_walk_matches_window_scans(executions):
                 newest_round = [r - 1 if q == p else known[q] for q in range(n)]
                 lo = max(0, r - N)
                 window = [keys[q][lo : newest_round[q] + 1] for q in range(n) if q == p or known[q] >= lo]
-                runs = key_runs(view, lo)
-                assert sum(end - start + 1 for start, end, _ in runs) == sum(map(len, window))
-                assert {k for _, _, k in runs if k is not None} == {k for w in window for k in w if k is not None}
+                scanned_locked = {k for w in window for k in w if k is not None}
 
                 lo2 = max(0, r - N * (D + 2 * N))
                 heard = [q for q in range(n) if q == p or known[q] >= lo2]
+                assert [(q, s) for q, s, _ in view.newest(lo2)] == [(q, newest_round[q]) for q in heard]
                 for v in set(inputs):
+                    locked_values, max_cut, min_cut = scan_recent(view, lo, v)
+                    assert locked_values == scanned_locked, (p, r)
                     scanned = [s for w in window for s, k in enumerate(w, start=lo) if k != v]
-                    walked = [(start, end) for start, end, k in runs if k != v]
-                    assert bool(scanned) == bool(walked)
-                    if scanned:
-                        assert max(scanned) == max(end for _, end in walked), (p, r, v)
-                        assert min(scanned) == min(start for start, _ in walked), (p, r, v)
+                    assert max_cut == (max(scanned) if scanned else None), (p, r, v)
+                    assert min_cut == (min(scanned) if scanned else None), (p, r, v)
                     for span in (N * (D + 2 * N), (D + 2 * N) ** 2):
                         s_lo = max(0, r - span)
                         scan_guard = all(
                             set(keys[q][s_lo : newest_round[q] + 1]) <= {v} for q in heard
                         )
-                        newest = [view.state(q, newest_round[q]) for q in heard]
-                        walk_guard = all(key(st) == v and st.since <= s_lo for st in newest)
+                        walk_guard = all(key(st) == v and st.since <= s_lo for _, _, st in view.newest(lo2))
                         assert scan_guard == walk_guard, (p, r, v, span)
+
+
+def test_states_share_one_queue_log_per_process():
+    n, D, seq, inputs = stable_case(8, 7, 1)
+    exec_ = run(LockingConsensus(N=n, D=D), inputs, seq)
+    for row in exec_.states:
+        logs = {id(st.queue.log) for st in row}
+        assert len(logs) == 1
+        assert len(row[-1].queue.log) <= exec_.rounds
+    assert len({id(row[0].queue.log) for row in exec_.states}) == n
+
+
+def test_restepping_an_older_state_leaves_later_queues_unchanged():
+    n, D, seq, inputs = stable_case(5, 4, 0)
+    algo = LockingConsensus(N=n, D=D)
+    exec_ = run(algo, inputs, seq)
+    p = 0
+    queues = [tuple(st.queue) for st in exec_.states[p]]
+    # Re-step the states just before confirmations, whose logs already
+    # hold the appends made by the states after them, and append a round
+    # that no later state queued to each of them.
+    confirming = [r for r in range(1, exec_.rounds) if queues[r] and queues[r][-1] == r]
+    assert len(confirming) > 5
+    for r in confirming:
+        older = exec_.states[p][r - 1]
+        again, _ = algo.step(older, view_at(exec_, p, r), r)
+        assert again == exec_.states[p][r]
+        assert again.queue.log is not exec_.states[p][r].queue.log
+        assert tuple(older.queue.append(10**6)) == queues[r - 1] + (10**6,)
+    assert [tuple(st.queue) for st in exec_.states[p]] == queues
+
+
+def test_queue_window_acts_as_its_tuple():
+    rng = random.Random(7)
+    for _ in range(300):
+        log = sorted(rng.sample(range(1, 60), rng.randrange(0, 20)))
+        lo = rng.randrange(0, len(log) + 1)
+        hi = rng.randrange(lo, len(log) + 1)
+        q, t = LockQueue(log, lo, hi), tuple(log[lo:hi])
+        assert len(q) == len(t) and bool(q) == bool(t) and tuple(q) == t and list(q) == list(t)
+        assert q == t and t == q and hash(q) == hash(t)
+        assert q == LockQueue(list(t), 0, len(t))
+        assert q != t + (99,)
+        if hi < len(log):
+            assert q != LockQueue(log, lo, hi + 1)
+        for x in range(0, 61):
+            assert (x in q) == (x in t)
+            assert q.drop_through(x) == tuple(u for u in t if u > x)
+        if t:
+            assert (q[0], q[-1]) == (t[0], t[-1])
+            for i in range(-len(t), len(t)):
+                assert q[i] == t[i]
+        for i in (len(t), -len(t) - 1):
+            with pytest.raises(IndexError):
+                q[i]
