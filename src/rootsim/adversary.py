@@ -521,6 +521,8 @@ def scenario_lossy_link(horizon: int, seed: int) -> GraphSequence:
 
 def scenario(name: str, **params: Any) -> GraphSequence:
     """Build a scripted sequence by name; see SCENARIO_NAMES."""
+    if params.get("horizon", 1) < 1:
+        raise ValueError(f"the horizon must be >= 1, got {params['horizon']}")
     if name == "indist-a":
         return scenario_indist_a(
             params["n"], params["D"], params["horizon"], params.get("dotted_first", True)

@@ -221,7 +221,14 @@ class LockingConsensus:
         root = estimate_root(view, r - D) if r > D else None
 
         if root is not None:
-            candidate = max(view.state(q, r - D).proposal for q in root)
+            # Every member's round-(r-D) report, which the estimate needed,
+            # travels in its round-(r-D) state, so this view can read them
+            # all; the maximum is the same for every view, and the run's
+            # memo keeps it once per (round, root).
+            key = (r - D, root)
+            candidate = view.memo.get(key)
+            if candidate is None:
+                candidate = view.memo[key] = max(view.state(q, r - D).proposal for q in root)
             adopt = not locked
             if not adopt and candidate != proposal:
                 # Count the distinct detectable root components between the

@@ -15,7 +15,7 @@ import random
 import statistics
 import sys
 import traceback
-from typing import Any
+from typing import IO, Any
 
 from . import adversary, engine, verification
 from .algorithms import LockingConsensus, VotingConsensus
@@ -207,12 +207,19 @@ def run_once(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verifica
     raise UsageError(f"unknown algorithm {algorithm!r} (expected 'locking' or 'voting')")
 
 
+def _open_output(path: str) -> IO[str]:
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_outputs(args: argparse.Namespace, exec_: engine.Execution, verdict: verification.Verdict) -> None:
     if getattr(args, "out_trace", None):
-        with open(args.out_trace, "w") as fh:
+        with _open_output(args.out_trace) as fh:
             exec_.write_trace(fh)
     if getattr(args, "out_verdict", None):
-        with open(args.out_verdict, "w") as fh:
+        with _open_output(args.out_verdict) as fh:
             json.dump(verdict.to_json(), fh, indent=2)
             fh.write("\n")
 
@@ -272,6 +279,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.D < 1 or args.x < 1:
+        raise UsageError(f"need D >= 1 and x >= 1, got D={args.D}, x={args.x}")
     try:
         with open(args.sequence) as fh:
             seq = read_jsonl(fh)
@@ -298,7 +307,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         raise UsageError(f"scenario {args.name!r}: {exc}") from exc
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_output(args.out) as fh:
             write_jsonl(seq, fh)
     else:
         write_jsonl(seq, sys.stdout)

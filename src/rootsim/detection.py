@@ -12,8 +12,21 @@ window pushes every root member's round-s state to everyone.
 
 from __future__ import annotations
 
-from .engine import ProcessView
-from .graphs import members, root_masks
+from typing import TYPE_CHECKING, Any
+
+from .graphs import GraphSequence, members, root_masks
+
+if TYPE_CHECKING:
+    from .engine import ProcessView
+
+
+def seeded_memo(seq: GraphSequence) -> dict[Any, Any]:
+    """A run's estimate memo before its first round: for every round s, the
+    entry of a view that knows all round-s reports. Such a view knows the
+    whole round-s graph, so its estimate is that graph's single root, which
+    `seq.roots` already holds."""
+    everyone = (1 << seq.n) - 1
+    return {(s, everyone): root for s, root in enumerate(seq.roots, start=1)}
 
 
 def estimate_root(view: ProcessView, s: int) -> frozenset[int] | None:
@@ -22,7 +35,7 @@ def estimate_root(view: ProcessView, s: int) -> frozenset[int] | None:
     Returns a set R iff exactly one set exists whose members' round-s
     receive reports are all known, all contained in R, and strongly
     connected under the reported edges. Results are memoized in the run's
-    shared `view.memo`.
+    shared `view.memo`, which `seeded_memo` fills for full knowledge.
     """
     if s > view.round:
         raise ValueError(f"cannot estimate round {s} from round {view.round}")

@@ -7,6 +7,12 @@ compactly: because a process's round-s state contains its entire history,
 "p knows q's round-s state" is equivalent to "s <= lastround_p[q]", so one
 integer vector per process captures the whole view. Recorded states live
 in a single shared store indexed by (process, round).
+
+Facts that depend only on the sequence and on recorded states, not on who
+reads them, are computed once per run in a memo that every view shares.
+It starts with each round's root for views that know every report of
+that round (detection.seeded_memo); root estimates for partial knowledge
+and lock candidates are added as they are first needed.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol
 
+from .detection import seeded_memo
 from .graphs import CommGraph, GraphSequence, members
 
 NEVER = -1
@@ -47,8 +54,16 @@ class ProcessView:
     own entry is r-1, since its round-r state is what the current
     computation produces. Every state read goes through `state`, which
     raises EngineError outside the view, or through `newest`, which reads
-    only each process's newest known state. `memo` holds the root estimates
-    of detection.estimate_root and is shared by every view of one run.
+    only each process's newest known state.
+
+    `memo` is shared by every view of one run. It holds the root estimates
+    of detection.estimate_root, keyed (s, mask of the processes whose
+    round-s reports are known) and seeded with the full-knowledge entry of
+    every round, and LockingConsensus's lock candidates, keyed (s, root)
+    with a frozenset root, so the two kinds of key never meet. An entry is
+    a function of its key alone, and a view reads only the entries whose
+    key its own knowledge yields, so a cached entry tells a view nothing it
+    could not compute from what it knows.
     """
 
     __slots__ = ("owner", "round", "n", "lastround", "_states", "_graphs", "memo")
@@ -60,7 +75,7 @@ class ProcessView:
         lastround: list[int],
         states: list[list[Any]],
         graphs: tuple[CommGraph, ...],
-        memo: dict[Any, frozenset[int] | None],
+        memo: dict[Any, Any],
     ):
         self.owner = owner
         self.round = r
@@ -162,7 +177,7 @@ def run(
 
     lastrounds: list[tuple[tuple[int, ...], ...]] = []
     detected_history: list[tuple[frozenset[int] | None, ...]] = []
-    memo: dict[Any, frozenset[int] | None] = {}
+    memo = seeded_memo(seq)
 
     for r in range(1, rounds + 1):
         ins = seq.graph(r).ins

@@ -161,6 +161,15 @@ class TestValidate:
     def test_missing_file(self):
         assert main(["validate", "/nonexistent.jsonl", "--D", "1", "--x", "1"]) == 2
 
+    @pytest.mark.parametrize("D,x", [(-1, 1), (0, 0), (0, 1), (1, 0)])
+    def test_bound_below_one_exits_two(self, D, x, tmp_path, capsys):
+        path = tmp_path / "seq.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(adversary.scenario("chain-a", n=3, D=2, horizon=6), fh)
+        assert main(["validate", str(path), "--D", str(D), "--x", str(x)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
 
 class TestScenario:
     def test_scenario_file_round_trips(self, tmp_path):
@@ -173,6 +182,37 @@ class TestScenario:
 
     def test_bad_params(self):
         assert main(["scenario", "indist-a", "--n", "3", "--D", "2", "--horizon", "8"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lossy-link", "--horizon", "-3"],
+            ["lossy-link", "--horizon", "0"],
+            ["chain-a", "--n", "4", "--D", "2", "--horizon", "0"],
+        ],
+    )
+    def test_horizon_below_one_exits_two(self, argv, capsys):
+        assert main(["scenario", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "3", "--seed", "1", "--out-trace", "{missing}"],
+            ["run", "--n", "3", "--seed", "1", "--out-verdict", "{missing}"],
+            ["run", "--n", "3", "--seed", "1", "--out-trace", "{dir}"],
+            ["scenario", "lossy-link", "--horizon", "3", "--out", "{missing}"],
+        ],
+        ids=["out-trace", "out-verdict", "directory", "scenario-out"],
+    )
+    def test_exit_two_with_one_error_line(self, argv, tmp_path, capsys):
+        paths = {"missing": str(tmp_path / "no-such-dir" / "f.jsonl"), "dir": str(tmp_path)}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write "), err
 
 
 class TestClosedPipe:

@@ -140,14 +140,17 @@ def unmemoized_estimate(view, s):
     return found[0] if len(found) == 1 else None
 
 
-def estimate_mismatches(seq):
-    """(p, s, r) wherever estimate_root differs from unmemoized_estimate."""
+def estimate_mismatches(seq, fully_known=None):
+    """(p, s, r) wherever estimate_root differs from unmemoized_estimate.
+    Adds to `fully_known` every s of which some view knew all reports."""
     mismatches = []
 
     def hook(state, view, r):
         for s in range(1, r + 1):
             if estimate_root(view, s) != unmemoized_estimate(view, s):
                 mismatches.append((view.owner, s, r))
+            if fully_known is not None and all(view.in_report_mask(q, s) is not None for q in range(view.n)):
+                fully_known.add(s)
 
     run(Probe(hook), list(range(seq.n)), seq)
     return mismatches
@@ -167,3 +170,15 @@ class TestMemo:
         for seed in range(3):
             rng = random.Random(2000 + seed)
             assert not estimate_mismatches(random_sequence(rng, 8, 5, density=0.12)), seed
+
+    def test_full_knowledge_entries_match_unmemoized(self):
+        # The memo starts with every round's root for views that know all of
+        # that round's reports, None for an unrooted round: here round 2 is
+        # edgeless and round 3 has the two roots {0} and {1}. The complete
+        # round 5 shows everyone every report of rounds 1..4.
+        complete = g(3, [(u, v) for u in range(3) for v in range(3) if u != v])
+        seq = GraphSequence(3, (complete, g(3, []), g(3, [(0, 2), (1, 2)]), star(0, 3), complete, complete))
+        assert seq.roots == (frozenset({0, 1, 2}), None, None, frozenset({0}), frozenset({0, 1, 2}), frozenset({0, 1, 2}))
+        fully_known = set()
+        assert not estimate_mismatches(seq, fully_known)
+        assert fully_known == {1, 2, 3, 4, 5}
