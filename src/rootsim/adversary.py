@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .graphs import (
     CommGraph,
@@ -27,30 +27,6 @@ from .graphs import (
 
 class GenerationError(RuntimeError):
     """Random sequence generation could not satisfy its constraints."""
-
-
-@dataclass(frozen=True)
-class AdversarySpec:
-    """Parameters for generating an admissible random sequence."""
-
-    n: int
-    D: int
-    x: int
-    horizon: int
-    seed: int
-    stability_start: int | str = "random"
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not (1 <= self.D <= max(1, self.n - 1)):
-            raise ValueError(f"need 1 <= D <= n-1, got D={self.D}, n={self.n}")
-        if self.x < 1:
-            raise ValueError(f"stability length must be >= 1, got {self.x}")
-        if self.horizon < self.x + 1:
-            raise ValueError(
-                f"horizon {self.horizon} too short for a stability window of {self.x}"
-            )
 
 
 @dataclass
@@ -259,25 +235,18 @@ def _random_rooted_graph(
     return CommGraph.from_ins(ins)
 
 
-def _pick_window_start(spec: AdversarySpec, rng: random.Random) -> int:
-    if spec.stability_start == "random":
-        hi = min(spec.x + spec.n + 2, spec.horizon - spec.x + 1)
-        if hi < 3:
-            raise GenerationError(
-                f"horizon {spec.horizon} leaves no room for a window starting at round 3"
-            )
-        return rng.randint(3, hi)
-    start = int(spec.stability_start)
-    if not (3 <= start and start + spec.x - 1 <= spec.horizon):
-        raise ValueError(
-            f"stability window must start in [3, horizon-x+1], got {start} "
-            f"(horizon {spec.horizon})"
-        )
-    return start
+def window_start(n: int, x: int, seed: int) -> int:
+    """The first round of the stable window for a run with this seed: drawn
+    from rounds 3..x+n+2 by a stream of its own, so the sequence's stream
+    does not depend on it."""
+    return random.Random(f"window-{seed}").randint(3, x + n + 2)
 
 
-def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int, frozenset[int]]]:
-    """A random sequence that is rooted, diameter-D, and x-round stable.
+def generate_stable(
+    n: int, D: int, x: int, start: int, horizon: int, seed: int
+) -> tuple[GraphSequence, tuple[int, int, frozenset[int]]]:
+    """A random `horizon`-round sequence that is rooted, diameter-D, and
+    x-round stable, with its stable window on rounds start..start+x-1.
 
     Returns the sequence plus its designated stable window (start, end, R).
     The root set changes every round outside the window and never equals
@@ -296,12 +265,18 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
     The output is re-validated with the checkers; failure raises
     GenerationError rather than returning an unvalidated sequence.
     """
-    rng = random.Random(spec.seed)
-    n, D, x = spec.n, spec.D, spec.x
     if n < 2:
-        raise GenerationError("generation needs n >= 2 (round 2's root must differ from round 1's)")
-    a = _pick_window_start(spec, rng)
-    b = a + x - 1
+        raise ValueError(f"generating a sequence needs n >= 2, got n={n}")
+    if not 1 <= D <= n - 1:
+        raise ValueError(f"need 1 <= D <= n-1, got D={D}, n={n}")
+    if x < 1:
+        raise ValueError(f"the stable-window length x must be >= 1, got x={x}")
+    a, b = start, start + x - 1
+    if a < 3:
+        raise ValueError(f"the stable window starts at round 3 or later, got {a}")
+    if b > horizon:
+        raise ValueError(f"horizon {horizon} ends before the stable window (rounds {a}..{b})")
+    rng = random.Random(seed)
 
     anchor = rng.randrange(n)
     anchor_root = frozenset({anchor})
@@ -312,7 +287,7 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
 
     graphs: list[CommGraph] = []
     prev_root: frozenset[int] | None = None
-    for r in range(1, spec.horizon + 1):
+    for r in range(1, horizon + 1):
         in_window = a <= r <= b
         if r == 1:
             root = anchor_root
@@ -364,29 +339,23 @@ def generate_stable(spec: AdversarySpec) -> tuple[GraphSequence, tuple[int, int,
     return seq, (a, b, window_root)
 
 
-def generate_rooted(
-    n: int, horizon: int, seed: int, stable_len: int = 0, stability_start: int | None = None
-) -> tuple[GraphSequence, tuple[int, int, frozenset[int]] | None]:
-    """A random all-rooted sequence, optionally with one stable-root window.
+def generate_rooted(n: int, horizon: int, seed: int, stable_len: int = 0) -> GraphSequence:
+    """A random all-rooted sequence, optionally with one stable-root window
+    of `stable_len` rounds at a random position.
 
     No diameter constraint beyond the one every rooted sequence satisfies
     automatically (n-1 rounds always suffice for a stable root's information
-    to spread). Returns the sequence and the designated window, if any.
+    to spread).
     """
+    if stable_len > horizon:
+        raise ValueError(f"a stable window of {stable_len} rounds exceeds horizon {horizon}")
     rng = random.Random(seed)
-    window: tuple[int, int, frozenset[int]] | None = None
     a = b = -1
     window_root: frozenset[int] = frozenset()
     if stable_len:
-        if stability_start is None:
-            a = rng.randint(1, max(1, horizon - stable_len + 1))
-        else:
-            a = stability_start
+        a = rng.randint(1, horizon - stable_len + 1)
         b = a + stable_len - 1
-        if b > horizon:
-            raise ValueError(f"stable window ({a},{b}) exceeds horizon {horizon}")
         window_root = _random_root_set(rng, n)
-        window = (a, b, window_root)
 
     graphs: list[CommGraph] = []
     prev_root: frozenset[int] | None = None
@@ -401,22 +370,11 @@ def generate_rooted(
     seq = GraphSequence(n, tuple(graphs))
     if None in seq.roots:
         raise GenerationError("generated sequence has an unrooted round")
-    return seq, window
+    return seq
 
 
 # ---------------------------------------------------------------------------
 # Scripted scenarios
-
-SCENARIO_NAMES = (
-    "indist-a",
-    "indist-b",
-    "chain-a",
-    "chain-b",
-    "chain-c",
-    "chain-d",
-    "lossy-link",
-)
-
 
 def _with_undepicted(n: int, depicted: range, edges: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Add an edge from every depicted process to every undepicted one."""
@@ -519,25 +477,41 @@ def scenario_lossy_link(horizon: int, seed: int) -> GraphSequence:
     return GraphSequence(2, graphs)
 
 
+def _gadget_scenario(variant: str) -> Callable[[dict[str, Any]], GraphSequence]:
+    def build(p: dict[str, Any]) -> GraphSequence:
+        g = _chain_gadget(p["n"], p["D"], variant)
+        return GraphSequence(g.n, (g,) * p.get("horizon", 1))
+
+    return build
+
+
+# Scenario name -> (builder from the parameter dict, required parameters).
+# Each parameter name is also the name of its `rootsim scenario` flag.
+SCENARIOS: dict[str, tuple[Callable[[dict[str, Any]], GraphSequence], tuple[str, ...]]] = {
+    "indist-a": (
+        lambda p: scenario_indist_a(p["n"], p["D"], p["horizon"], p.get("dotted_first", True)),
+        ("n", "D", "horizon"),
+    ),
+    "indist-b": (
+        lambda p: scenario_indist_b(
+            p["n"], p["D"], p["tau"], p["horizon"], p.get("dotted_first", True)
+        ),
+        ("n", "D", "tau", "horizon"),
+    ),
+    **{f"chain-{v}": (_gadget_scenario(v), ("n", "D")) for v in "abcd"},
+    "lossy-link": (lambda p: scenario_lossy_link(p["horizon"], p.get("seed", 0)), ("horizon",)),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+
 def scenario(name: str, **params: Any) -> GraphSequence:
-    """Build a scripted sequence by name; see SCENARIO_NAMES."""
+    """Build a scripted sequence by name; see SCENARIOS."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    build, required = SCENARIOS[name]
+    missing = [f"--{key}" for key in required if params.get(key) is None]
+    if missing:
+        raise ValueError(f"needs {' and '.join(missing)}")
     if params.get("horizon", 1) < 1:
         raise ValueError(f"the horizon must be >= 1, got {params['horizon']}")
-    if name == "indist-a":
-        return scenario_indist_a(
-            params["n"], params["D"], params["horizon"], params.get("dotted_first", True)
-        )
-    if name == "indist-b":
-        return scenario_indist_b(
-            params["n"],
-            params["D"],
-            params["tau"],
-            params["horizon"],
-            params.get("dotted_first", True),
-        )
-    if name.startswith("chain-") and name[len("chain-") :] in "abcd":
-        g = _chain_gadget(params["n"], params["D"], name[len("chain-") :])
-        return GraphSequence(g.n, (g,) * params.get("horizon", 1))
-    if name == "lossy-link":
-        return scenario_lossy_link(params["horizon"], params.get("seed", 0))
-    raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    return build(params)

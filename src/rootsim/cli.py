@@ -51,13 +51,16 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return cfg
 
 
-def _load_sequence(path: str, n: int) -> GraphSequence:
+def _load_sequence(path: str, n: int | None = None) -> GraphSequence:
+    """The sequence stored at `path`; with `n`, it must have n processes."""
     try:
         with open(path) as fh:
             seq = read_jsonl(fh)
-    except (OSError, GraphError) as exc:
+    except OSError as exc:
         raise UsageError(f"cannot load sequence: {exc}") from exc
-    if seq.n != n:
+    except GraphError as exc:
+        raise UsageError(f"cannot load sequence: parse error: {exc}") from exc
+    if n is not None and seq.n != n:
         raise UsageError(f"sequence has n={seq.n}, config says {n}")
     return seq
 
@@ -106,12 +109,13 @@ def _horizon(cfg: dict[str, Any], default: int) -> int:
     return horizon
 
 
-def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
-    """Fill in derived run parameters for the locking algorithm."""
+def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verification.Verdict]:
     n = _int(cfg, "n")
     N = _int(cfg, "N", n)
     D = _int(cfg, "D", max(1, n - 1))
     x = _int(cfg, "x", D + 1)
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got n={n}")
     if N < n:
         raise UsageError(f"the size bound N must be >= n, got N={N}, n={n}")
     if not (1 <= D <= max(1, n - 1)):
@@ -119,41 +123,24 @@ def _plan_locking(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
     if x < 1:
         raise UsageError(f"the stable-window length x must be >= 1, got x={x}")
     decide_span = N * (D + 2 * N)
-    plan = {"n": n, "N": N, "D": D, "x": x, "decide_span": decide_span, "seed": seed}
     if cfg.get("sequence"):
         seq = _load_sequence(cfg["sequence"], n)
         window = next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
-        plan.update(seq=seq, window=window, horizon=_horizon(cfg, len(seq)))
+        horizon = _horizon(cfg, len(seq))
     else:
-        if n < 2:
-            raise UsageError(f"generating a sequence needs n >= 2, got n={n}")
-        rng = random.Random(f"window-{seed}")
-        start = _int(cfg, "stability_start", rng.randint(3, x + n + 2))
-        if start < 3:
-            raise UsageError(f"the stable window starts at round 3 or later, got {start}")
-        b = start + x - 1
-        horizon = _horizon(cfg, b + decide_span + 5)
-        if horizon < b:
-            raise UsageError(f"horizon {horizon} ends before the stable window (rounds {start}..{b})")
-        spec = adversary.AdversarySpec(
-            n=n, D=D, x=x, horizon=horizon, seed=seed, stability_start=start
-        )
-        seq, window = adversary.generate_stable(spec)
-        plan.update(seq=seq, window=window, horizon=horizon)
-    return plan
-
-
-def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verification.Verdict]:
-    plan = _plan_locking(cfg, seed)
-    seq, window = plan["seq"], plan["window"]
-    n, N, D = plan["n"], plan["N"], plan["D"]
+        start = _int(cfg, "stability_start", adversary.window_start(n, x, seed))
+        horizon = _horizon(cfg, start + x - 1 + decide_span + 5)
+        try:
+            seq, window = adversary.generate_stable(n, D, x, start, horizon, seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     try:
         algo = LockingConsensus(N=N, D=D, **{k: cfg[k] for k in LOCKING_KNOBS if k in cfg})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     inputs = _resolve_inputs(cfg, n, seed)
-    exec_ = engine.run(algo, inputs, seq, horizon=min(plan["horizon"], len(seq)))
-    deadline = window[1] + plan["decide_span"] if window else exec_.rounds
+    exec_ = engine.run(algo, inputs, seq, horizon=min(horizon, len(seq)))
+    deadline = window[1] + decide_span if window else exec_.rounds
     verdict = verification.check_consensus(exec_, deadline)
     verdict.invariant_failures.extend(verification.check_detection_soundness(exec_, D))
     if window:
@@ -183,7 +170,7 @@ def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verif
         if horizon < stable_len:
             raise UsageError(f"horizon {horizon} is shorter than the {stable_len}-round stable window")
         horizon -= horizon % (n - 1)
-        base, _ = adversary.generate_rooted(n, horizon, seed, stable_len=stable_len)
+        base = adversary.generate_rooted(n, horizon, seed, stable_len=stable_len)
     compound = adversary.compound_sequence(base)
     inputs = _resolve_inputs(cfg, n, seed)
     exec_ = engine.run(VotingConsensus(), inputs, compound)
@@ -215,10 +202,10 @@ def _open_output(path: str) -> IO[str]:
 
 
 def _write_outputs(args: argparse.Namespace, exec_: engine.Execution, verdict: verification.Verdict) -> None:
-    if getattr(args, "out_trace", None):
+    if args.out_trace:
         with _open_output(args.out_trace) as fh:
             exec_.write_trace(fh)
-    if getattr(args, "out_verdict", None):
+    if args.out_verdict:
         with _open_output(args.out_verdict) as fh:
             json.dump(verdict.to_json(), fh, indent=2)
             fh.write("\n")
@@ -254,11 +241,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         if verdict.ok:
             passed += 1
-            last_decisions = [
-                next(r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decided)
-                for p in range(exec_.n)
-            ]
-            decision_offsets.append(verdict.deadline - max(last_decisions))
+            last_decision = max(verification.decision_of(exec_, p)[1] for p in range(exec_.n))
+            decision_offsets.append(verdict.deadline - last_decision)
         else:
             failures.append({"seed": seed, "verdict": verdict.to_json()})
     summary = {
@@ -281,14 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.D < 1 or args.x < 1:
         raise UsageError(f"need D >= 1 and x >= 1, got D={args.D}, x={args.x}")
-    try:
-        with open(args.sequence) as fh:
-            seq = read_jsonl(fh)
-    except OSError as exc:
-        raise UsageError(str(exc)) from exc
-    except GraphError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    seq = _load_sequence(args.sequence)
     report = adversary.membership_report(seq, args.D, args.x)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.member else 1
@@ -304,7 +281,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         params["dotted_first"] = args.dotted_first
     try:
         seq = adversary.scenario(args.name, **params)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"scenario {args.name!r}: {exc}") from exc
     if args.out:
         with _open_output(args.out) as fh:
@@ -345,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
             dest="decide_rule",
             help="evaluate the decide guard from the deadline onward, or only at it",
         )
-        p.add_argument("--out-trace", dest="out_trace")
-        p.add_argument("--out-verdict", dest="out_verdict")
 
     p_run = sub.add_parser("run", help="run one execution and check it")
     common(p_run)
+    p_run.add_argument("--out-trace", dest="out_trace")
+    p_run.add_argument("--out-verdict", dest="out_verdict")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run seeded trials and aggregate")

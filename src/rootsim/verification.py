@@ -50,7 +50,7 @@ class Verdict:
         }
 
 
-def _decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
+def decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
     """(value, round) of p's decision, or (None, None)."""
     for r in range(1, exec_.rounds + 1):
         st = exec_.states[p][r]
@@ -67,7 +67,7 @@ def check_consensus(exec_: Execution, deadline: int | None = None) -> Verdict:
     """
     if deadline is None:
         deadline = exec_.rounds
-    decisions = [_decision_of(exec_, p) for p in range(exec_.n)]
+    decisions = [decision_of(exec_, p) for p in range(exec_.n)]
 
     agreement, agreement_witness = True, None
     decided = [(p, v, r) for p, (v, r) in enumerate(decisions) if v is not None]

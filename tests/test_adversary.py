@@ -3,8 +3,6 @@ import random
 import pytest
 
 from rootsim.adversary import (
-    AdversarySpec,
-    GenerationError,
     check_diam,
     check_nonsplit,
     check_star_window,
@@ -13,6 +11,7 @@ from rootsim.adversary import (
     generate_stable,
     membership_report,
     scenario,
+    window_start,
 )
 from rootsim.graphs import (
     CommGraph,
@@ -27,6 +26,11 @@ from rootsim.graphs import (
 
 def g(n, edges):
     return CommGraph(n, edges)
+
+
+def stable(n, D, x, horizon, seed):
+    """generate_stable with the window placed by window_start."""
+    return generate_stable(n, D, x, window_start(n, x, seed), horizon, seed)
 
 
 class TestCheckers:
@@ -49,7 +53,7 @@ class TestCheckers:
     def test_diam_max_diameter_always_ok(self):
         rng = random.Random(2)
         for seed in range(10):
-            seq, _ = generate_rooted(4, 12, seed)
+            seq = generate_rooted(4, 12, seed)
             ok, violation = check_diam(seq, 3)
             assert ok, violation
 
@@ -103,14 +107,14 @@ class TestCompoundSequence:
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(2, 6)
-            seq, _ = generate_rooted(n, 3 * (n - 1), seed)
+            seq = generate_rooted(n, 3 * (n - 1), seed)
             ok, witness = check_nonsplit(compound_sequence(seq))
             assert ok, (n, seed, witness)
 
     def test_stable_input_gives_star_windows(self):
         for seed in range(30):
             n = 4
-            seq, _ = generate_rooted(n, 9 * (n - 1), seed, stable_len=3 * (n - 1))
+            seq = generate_rooted(n, 9 * (n - 1), seed, stable_len=3 * (n - 1))
             windows = check_star_window(compound_sequence(seq), 2)
             assert windows, seed
 
@@ -127,16 +131,14 @@ class TestGenerateStable:
         x = D + 1
         for seed in range(5):
             horizon = (x + n + 2) + x + n * (D + 2 * n) + 5
-            spec = AdversarySpec(n=n, D=D, x=x, horizon=horizon, seed=seed)
-            seq, (a, b, root) = generate_stable(spec)
+            seq, (a, b, root) = stable(n, D, x, horizon, seed)
             report = membership_report(seq, D, x)
             assert report.member
             assert (a, b, root) in report.stability_windows
             assert b - a + 1 == x
 
     def test_designated_window_is_first(self):
-        spec = AdversarySpec(n=4, D=2, x=3, horizon=60, seed=9)
-        seq, (a, b, root) = generate_stable(spec)
+        seq, (a, b, root) = stable(4, 2, 3, 60, 9)
         runs = [w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= 3]
         assert runs[0] == (a, b, root)
         # No earlier run reaches length x.
@@ -144,8 +146,7 @@ class TestGenerateStable:
             assert e - s + 1 < 3 or s >= a
 
     def test_window_root_unique_to_window(self):
-        spec = AdversarySpec(n=5, D=2, x=3, horizon=70, seed=4)
-        seq, (a, b, root) = generate_stable(spec)
+        seq, (a, b, root) = stable(5, 2, 3, 70, 4)
         for r in range(1, len(seq) + 1):
             if not (a <= r <= b):
                 assert single_root(seq.graph(r)) != root
@@ -153,8 +154,7 @@ class TestGenerateStable:
     def test_round_one_root_is_detectable_anchor(self):
         # Round 1 has a singleton root that also sits in round 2's root and
         # broadcasts there, making round 1's root universally detectable.
-        spec = AdversarySpec(n=5, D=3, x=4, horizon=80, seed=11)
-        seq, _ = generate_stable(spec)
+        seq, _ = stable(5, 3, 4, 80, 11)
         r1_root = single_root(seq.graph(1))
         assert len(r1_root) == 1
         (anchor,) = r1_root
@@ -163,19 +163,23 @@ class TestGenerateStable:
         assert all((anchor, v) in g2.edges for v in range(5) if v != anchor)
 
     def test_deterministic(self):
-        spec = AdversarySpec(n=4, D=3, x=4, horizon=60, seed=7)
-        assert generate_stable(spec)[0] == generate_stable(spec)[0]
+        assert stable(4, 3, 4, 60, 7)[0] == stable(4, 3, 4, 60, 7)[0]
 
-    def test_invalid_spec_rejected(self):
+    @pytest.mark.parametrize(
+        "n,D,x,start,horizon",
+        [
+            (1, 1, 2, 3, 40),
+            (4, 0, 2, 3, 40),
+            (4, 4, 5, 3, 60),
+            (4, 2, 0, 3, 60),
+            (4, 1, 2, 2, 40),
+            (4, 1, 2, 39, 39),
+        ],
+        ids=["n-below-2", "D-below-1", "D-above-n-1", "x-below-1", "start-before-3", "end-after-horizon"],
+    )
+    def test_out_of_range_argument_rejected(self, n, D, x, start, horizon):
         with pytest.raises(ValueError):
-            AdversarySpec(n=4, D=4, x=5, horizon=60, seed=0)  # D > n-1
-        with pytest.raises(ValueError):
-            AdversarySpec(n=4, D=2, x=0, horizon=60, seed=0)
-
-    def test_explicit_window_start_validated(self):
-        spec = AdversarySpec(n=4, D=1, x=2, horizon=40, seed=0, stability_start=2)
-        with pytest.raises(ValueError):
-            generate_stable(spec)
+            generate_stable(n, D, x, start, horizon, 0)
 
 
 class TestScenarios:
@@ -229,8 +233,7 @@ class TestScenarios:
 
 class TestMembershipReport:
     def test_report_json_round_trippable(self):
-        spec = AdversarySpec(n=3, D=1, x=2, horizon=30, seed=1)
-        seq, _ = generate_stable(spec)
+        seq, _ = stable(3, 1, 2, 30, 1)
         data = membership_report(seq, 1, 2).to_json()
         assert data["member"] is True
         assert data["rooted_ok"] is True and data["diam_ok"] is True

@@ -69,8 +69,8 @@ class TestLockingBasics:
     def test_instance_reusable_across_runs(self):
         # An algorithm instance holds only parameters: a second run on
         # another sequence traces exactly as it does on a fresh instance.
-        first = cli._plan_locking({"n": 4, "D": 2}, 3)["seq"]
-        second = cli._plan_locking({"n": 4, "D": 2}, 4)["seq"]
+        first = cli.run_once({"n": 4, "D": 2}, 3)[0].seq
+        second = cli.run_once({"n": 4, "D": 2}, 4)[0].seq
         inputs = [0, 1, 0, 1]
         algo = LockingConsensus(N=4, D=2)
         run(algo, inputs, first)

@@ -50,6 +50,7 @@ class TestBadInput:
         "argv",
         [
             ["run", "--n", "1"],
+            ["run", "--n", "-3"],
             ["run", "--n", "3", "--x", "0"],
             ["run", "--n", "3", "--stability-start", "1"],
             ["run", "--n", "3", "--stability-start", "0"],
@@ -110,6 +111,15 @@ class TestSweep:
         summary = json.loads(capsys.readouterr().out)
         assert summary["passed"] == 5 and summary["trials"] == 5
 
+    @pytest.mark.parametrize("flag", ["--out-trace", "--out-verdict"])
+    def test_run_output_flags_rejected(self, flag, tmp_path, capsys):
+        out = tmp_path / "f"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "3", "--trials", "1", flag, str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_trials(self):
         assert main(["sweep", "--algorithm", "locking", "--n", "3", "--trials", "0"]) == 2
 
@@ -156,7 +166,8 @@ class TestValidate:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"n": 2, "rounds": 1}\n{broken\n')
         assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
-        assert "parse error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "parse error" in err[0], err
 
     def test_missing_file(self):
         assert main(["validate", "/nonexistent.jsonl", "--D", "1", "--x", "1"]) == 2
@@ -179,6 +190,19 @@ class TestScenario:
         with open(out) as fh:
             seq = read_jsonl(fh)
         assert seq.n == 12 and len(seq) == 8
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["lossy-link", "--seed", "1"], "--horizon"),
+            (["indist-a", "--n", "12", "--horizon", "8"], "--D"),
+            (["indist-b", "--n", "12", "--D", "2", "--horizon", "11"], "--tau"),
+        ],
+    )
+    def test_missing_parameter_names_its_flag(self, argv, flag, capsys):
+        assert main(["scenario", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: scenario {argv[0]!r}: needs {flag}"], err
 
     def test_bad_params(self):
         assert main(["scenario", "indist-a", "--n", "3", "--D", "2", "--horizon", "8"]) == 2
@@ -247,13 +271,12 @@ class TestSequenceInput:
     def test_run_on_sequence_file(self, tmp_path):
         # Generate a stable sequence via the library, save it, and run the
         # locking algorithm on the file.
-        from rootsim.adversary import AdversarySpec, generate_stable
+        from rootsim.adversary import generate_stable, window_start
         from rootsim.graphs import write_jsonl
 
         n, D = 4, 2
         span = n * (D + 2 * n)
-        spec = AdversarySpec(n=n, D=D, x=D + 1, horizon=12 + span, seed=3)
-        seq, window = generate_stable(spec)
+        seq, window = generate_stable(n, D, D + 1, window_start(n, D + 1, 3), 12 + span, 3)
         path = tmp_path / "seq.jsonl"
         with open(path, "w") as fh:
             write_jsonl(seq, fh)
@@ -280,7 +303,7 @@ class TestSequenceInput:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_voting_replay_honours_horizon(self, tmp_path):
-        base, _ = adversary.generate_rooted(3, 24, 0, stable_len=6)
+        base = adversary.generate_rooted(3, 24, 0, stable_len=6)
         path = tmp_path / "seq.jsonl"
         with open(path, "w") as fh:
             write_jsonl(base, fh)
@@ -293,7 +316,7 @@ class TestSequenceInput:
     def test_voting_replay_partial_block_warns_in_one_line(self, tmp_path):
         path = tmp_path / "seq.jsonl"
         with open(path, "w") as fh:
-            write_jsonl(adversary.generate_rooted(3, 24, 0, stable_len=6)[0], fh)
+            write_jsonl(adversary.generate_rooted(3, 24, 0, stable_len=6), fh)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
@@ -340,3 +363,12 @@ def test_run_once_computes_each_round_root_once(monkeypatch):
     exec_, verdict = cli.run_once({"algorithm": "locking", "n": 4, "D": 2}, 3)
     assert verdict.ok
     assert len(graphs_seen) == len(exec_.seq)
+
+
+@pytest.mark.parametrize("n,D,seed", [(2, 1, 0), (4, 2, 3), (5, 4, 7)])
+def test_run_once_places_window_by_window_start(n, D, seed):
+    x = D + 1
+    start = adversary.window_start(n, x, seed)
+    horizon = start + x - 1 + n * (D + 2 * n) + 5
+    exec_, _ = cli.run_once({"n": n, "D": D}, seed)
+    assert exec_.seq == adversary.generate_stable(n, D, x, start, horizon, seed)[0]

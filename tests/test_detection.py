@@ -5,7 +5,7 @@ import pytest
 from rootsim.detection import estimate_root
 from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, members, single_root, star
-from rootsim.adversary import AdversarySpec, generate_stable, generate_rooted
+from rootsim.adversary import generate_rooted, generate_stable, window_start
 from rootsim.verification import brute_force_roots
 
 from conftest import Probe, random_sequence
@@ -82,7 +82,7 @@ class TestSoundness:
         # of that round's graph.
         for seed in range(15):
             n = random.Random(seed).randint(2, 5)
-            seq, _ = generate_rooted(n, 10, seed)
+            seq = generate_rooted(n, 10, seed)
             est = collect_estimates(seq)
             for (p, s, r), root in est.items():
                 if root is not None:
@@ -106,8 +106,7 @@ class TestCompleteness:
         x = D + 1
         for seed in range(4):
             horizon = (x + n + 2) + x + 5
-            spec = AdversarySpec(n=n, D=D, x=x, horizon=horizon, seed=seed)
-            seq, (a, b, root) = generate_stable(spec)
+            seq, (a, b, root) = generate_stable(n, D, x, window_start(n, x, seed), horizon, seed)
             est = collect_estimates(seq, max_s=b)
             for p in range(n):
                 assert est[(p, a, a + D)] == root, (p, seed)
@@ -118,7 +117,7 @@ class TestMonotonicity:
         for seed in range(8):
             rng = random.Random(seed)
             n = rng.randint(2, 5)
-            seq, _ = generate_rooted(n, 12, seed + 50)
+            seq = generate_rooted(n, 12, seed + 50)
             est = collect_estimates(seq)
             for p in range(n):
                 for s in range(1, 13):

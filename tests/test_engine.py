@@ -83,10 +83,9 @@ class TestLastHeard:
     @pytest.mark.parametrize("algorithm", ["locking", "voting", "probe"])
     def test_owner_entry_is_previous_round(self, algorithm):
         if algorithm == "locking":
-            spec = adversary.AdversarySpec(n=4, D=2, x=3, horizon=70, seed=1, stability_start=4)
-            algo, seq = LockingConsensus(N=4, D=2), adversary.generate_stable(spec)[0]
+            algo, seq = LockingConsensus(N=4, D=2), adversary.generate_stable(4, 2, 3, 4, 70, 1)[0]
         elif algorithm == "voting":
-            base, _ = adversary.generate_rooted(4, 27, 0, stable_len=9)
+            base = adversary.generate_rooted(4, 27, 0, stable_len=9)
             algo, seq = VotingConsensus(), adversary.compound_sequence(base)
         else:
             algo, seq = Probe(), random_sequence(random.Random(5), 4, 12)

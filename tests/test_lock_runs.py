@@ -30,8 +30,7 @@ def stable_case(n, D, seed):
     x = D + 1
     start = 3 + seed % (n + 2)
     horizon = start + x - 1 + n * (D + 2 * n) + 5
-    spec = adversary.AdversarySpec(n=n, D=D, x=x, horizon=horizon, seed=seed, stability_start=start)
-    seq, _ = adversary.generate_stable(spec)
+    seq, _ = adversary.generate_stable(n, D, x, start, horizon, seed)
     rng = random.Random(seed)
     return n, D, seq, [rng.randrange(3) for _ in range(n)]
 
