@@ -262,8 +262,10 @@ def generate_stable(
     on every process can reconstruct round 1's root; the window starts at
     round 3 or later so this anchor always precedes it.
 
-    The output is re-validated with the checkers; failure raises
-    GenerationError rather than returning an unvalidated sequence.
+    The output is re-validated against what membership needs (every round
+    rooted, the diameter property, and the designated window as a maximal
+    same-root run); failure raises GenerationError rather than returning
+    an unvalidated sequence.
     """
     if n < 2:
         raise ValueError(f"generating a sequence needs n >= 2, got n={n}")
@@ -331,10 +333,12 @@ def generate_stable(
                 raise GenerationError("diameter constraint unsatisfiable in stable window")
 
     seq = GraphSequence(n, tuple(graphs))
-    report = membership_report(seq, D, x)
-    if not report.member:
-        raise GenerationError(f"generated sequence failed validation: {report.to_json()}")
-    if not any(s == a and e == b and root == window_root for (s, e, root) in report.stability_windows):
+    if None in seq.roots:
+        raise GenerationError(f"generated round {seq.roots.index(None) + 1} is not rooted")
+    diam_ok, diam_violation = check_diam(seq, D)
+    if not diam_ok:
+        raise GenerationError(f"generated sequence violates the diameter property: {diam_violation}")
+    if (a, b, window_root) not in maximal_runs(seq.roots):
         raise GenerationError(f"designated window ({a},{b}) not maximal in output")
     return seq, (a, b, window_root)
 
@@ -391,13 +395,14 @@ def _chain(lo: int, hi: int) -> set[tuple[int, int]]:
     return {(i, i + 1) for i in range(lo, hi)}
 
 
-def scenario_indist_a(n: int, D: int, horizon: int, dotted_first: bool = True) -> GraphSequence:
+def scenario_indist_a(n: int, D: int, horizon: int) -> GraphSequence:
     """First sequence of the indistinguishability pair.
 
     Rounds 1..2D-1: a chain from process 0 fanning out to D and D+1, with
     processes D+2.. fed by every depicted process. From round 2D on, the
     two processes D and D+1 form an isolated alternating gadget feeding
-    back into process 0.
+    back into process 0: the edge D+1 -> D is present in rounds 2D,
+    2D+2, ... and absent in the rounds between.
     """
     if D < 1 or n <= D + 2:
         raise ValueError(f"need n >= D+3, got n={n}, D={D}")
@@ -409,21 +414,20 @@ def scenario_indist_a(n: int, D: int, horizon: int, dotted_first: bool = True) -
     base = _chain(0, D - 1) | {(D, D + 1), (D + 1, 0)}
     for r in range(2 * D, horizon + 1):
         edges = set(base)
-        if ((r - 2 * D) % 2 == 0) == dotted_first:
+        if (r - 2 * D) % 2 == 0:
             edges.add((D + 1, D))
         graphs.append(CommGraph(n, _with_undepicted(n, depicted, edges)))
     return GraphSequence(n, tuple(graphs))
 
 
-def scenario_indist_b(
-    n: int, D: int, tau: int, horizon: int, dotted_first: bool = True
-) -> GraphSequence:
+def scenario_indist_b(n: int, D: int, tau: int, horizon: int) -> GraphSequence:
     """Second sequence of the pair: same gadget view, different root history.
 
     All processes are wired explicitly (a trailing chain replaces the
-    depicted-to-undepicted edges), an alternating back-edge into process 0
-    appears from round D, and from round tau+1 the last process broadcasts
-    forever, forming the eventual stable root.
+    depicted-to-undepicted edges), an alternating back-edge 1 -> 0 is
+    present in rounds D, D+2, ... below 2D, the gadget's edge D+1 -> D
+    alternates as in indist-a from round 2D to tau, and from round tau+1
+    the last process broadcasts forever, forming the eventual stable root.
     """
     if D < 1 or n <= D + 2:
         raise ValueError(f"need n >= D+3, got n={n}, D={D}")
@@ -435,13 +439,13 @@ def scenario_indist_b(
     graphs = [CommGraph(n, frozenset(early))] * (D - 1)
     for r in range(D, 2 * D):
         edges = set(early)
-        if ((r - D) % 2 == 0) == dotted_first:
+        if (r - D) % 2 == 0:
             edges.add((1, 0))
         graphs.append(CommGraph(n, frozenset(edges)))
     mid = _chain(0, D - 1) | {(D, D + 1), (D + 1, 0), (D - 1, D + 2)} | _chain(D + 2, n - 1)
     for r in range(2 * D, tau + 1):
         edges = set(mid)
-        if ((r - 2 * D) % 2 == 0) == dotted_first:
+        if (r - 2 * D) % 2 == 0:
             edges.add((D + 1, D))
         graphs.append(CommGraph(n, frozenset(edges)))
     graphs.extend([star(n - 1, n)] * (horizon - tau))
@@ -488,14 +492,9 @@ def _gadget_scenario(variant: str) -> Callable[[dict[str, Any]], GraphSequence]:
 # Scenario name -> (builder from the parameter dict, required parameters).
 # Each parameter name is also the name of its `rootsim scenario` flag.
 SCENARIOS: dict[str, tuple[Callable[[dict[str, Any]], GraphSequence], tuple[str, ...]]] = {
-    "indist-a": (
-        lambda p: scenario_indist_a(p["n"], p["D"], p["horizon"], p.get("dotted_first", True)),
-        ("n", "D", "horizon"),
-    ),
+    "indist-a": (lambda p: scenario_indist_a(p["n"], p["D"], p["horizon"]), ("n", "D", "horizon")),
     "indist-b": (
-        lambda p: scenario_indist_b(
-            p["n"], p["D"], p["tau"], p["horizon"], p.get("dotted_first", True)
-        ),
+        lambda p: scenario_indist_b(p["n"], p["D"], p["tau"], p["horizon"]),
         ("n", "D", "tau", "horizon"),
     ),
     **{f"chain-{v}": (_gadget_scenario(v), ("n", "D")) for v in "abcd"},

@@ -148,20 +148,19 @@ class LockingConsensus:
     heard process's newest state holds our locked proposal and its run
     (`since`) began by the start of the guard's lookback.
 
+    `decide_span` = N(D+2N) is the paper's termination bound: the decide
+    guard is due `decide_span` rounds after the lock round, and its
+    lookback is the last `decide_span` rounds.
+
     Optional knobs (defaults are the verified configuration):
-    - history_window: the lookback of the decide guard. "deadline" makes it
-      the decide span N(D+2N) itself; "squared" uses the wider (D+2N)^2,
-      which outlasts the N(D+2N) rounds that termination-by-deadline
-      allows after the stable window. "squared" is a mutation: at n=4,
-      D=2 it misses the deadline on 8 of seeds 0..9, though safety holds.
     - prune: on backoff, drop queued confirmations up to the "max" (default)
       or "min" violating state round.
     - adopt_unanimous: enable the unanimous-locked-value adoption rule
       (disabling it is a mutation used to validate the checkers).
     - backoff: enable the backoff rule (same purpose).
     - decide_rule: "sliding" (default) evaluates the decide guard every
-      round from the lock deadline onward; "exact" evaluates it only in
-      the single round equal to the deadline. The sliding rule is what
+      round from lockround + decide_span onward; "exact" evaluates it only
+      in that one round, and is a mutation. The sliding rule is what
       makes termination-by-deadline hold: a process whose lock round
       predates the stability window gets exactly one "exact" chance, and
       that chance can land while stale pre-stability states are still in
@@ -172,7 +171,6 @@ class LockingConsensus:
         self,
         N: int,
         D: int,
-        history_window: str = "deadline",
         prune: str = "max",
         adopt_unanimous: bool = True,
         backoff: bool = True,
@@ -180,8 +178,6 @@ class LockingConsensus:
     ):
         if N < 1 or D < 1:
             raise ValueError(f"need N >= 1 and D >= 1, got N={N}, D={D}")
-        if history_window not in ("deadline", "squared"):
-            raise ValueError(f"unknown history_window {history_window!r}")
         if prune not in ("max", "min"):
             raise ValueError(f"unknown prune mode {prune!r}")
         if decide_rule not in ("sliding", "exact"):
@@ -190,7 +186,7 @@ class LockingConsensus:
             raise ValueError("adopt_unanimous and backoff must be true or false")
         self.N = N
         self.D = D
-        self.history_window = history_window
+        self.decide_span = N * (D + 2 * N)
         self.prune = prune
         self.adopt_unanimous = adopt_unanimous
         self.backoff = backoff
@@ -210,9 +206,6 @@ class LockingConsensus:
             "decided": state.decided,
             "decision": state.decision,
         }
-
-    def deadline(self, lockround: int) -> int:
-        return lockround + self.N * (self.D + 2 * self.N)
 
     def step(self, state: LockState, view: ProcessView, r: int) -> tuple[LockState, frozenset[int] | None]:
         N, D = self.N, self.D
@@ -268,18 +261,12 @@ class LockingConsensus:
                 if unanimous != proposal:
                     proposal = unanimous
 
-        at_deadline = (
-            r >= self.deadline(lockround)
-            if self.decide_rule == "sliding"
-            else r == self.deadline(lockround)
-        )
-        if not decided and at_deadline:
-            span = self.N * (D + 2 * N) if self.history_window == "deadline" else (D + 2 * N) ** 2
-            lo2 = max(0, r - self.N * (D + 2 * N))
-            s_lo = max(0, r - span)
-            # q's states from s_lo on all hold our locked proposal iff its
-            # newest one does and that one's run began by s_lo.
-            if all(st.locked and st.proposal == proposal and st.since <= s_lo for _, _, st in view.newest(lo2)):
+        due = lockround + self.decide_span
+        if not decided and (r >= due if self.decide_rule == "sliding" else r == due):
+            lo = max(0, r - self.decide_span)
+            # q's states from lo on all hold our locked proposal iff its
+            # newest one does and that one's run began by lo.
+            if all(st.locked and st.proposal == proposal and st.since <= lo for _, _, st in view.newest(lo)):
                 decided, decision = True, proposal
 
         if (proposal if locked else None) != (state.proposal if state.locked else None):

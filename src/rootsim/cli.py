@@ -29,9 +29,11 @@ VOTING_DECISION_OFFSET = 1
 
 # Config fields that the `run` and `sweep` flags override.
 RUN_KEYS = ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
-            "history_window", "prune", "decide_rule", "stability_start"]
+            "prune", "decide_rule", "stability_start"]
 # Optional LockingConsensus knobs; the constructor holds their defaults.
-LOCKING_KNOBS = ("history_window", "prune", "adopt_unanimous", "backoff", "decide_rule")
+LOCKING_KNOBS = ("prune", "adopt_unanimous", "backoff", "decide_rule")
+# Every key a config file may hold.
+CONFIG_KEYS = {*RUN_KEYS, *LOCKING_KNOBS, "inputs", "trials"}
 
 
 class UsageError(Exception):
@@ -48,6 +50,9 @@ def _load_config(path: str | None) -> dict[str, Any]:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config key {', '.join(map(repr, unknown))}")
     return cfg
 
 
@@ -79,26 +84,27 @@ def _resolve_inputs(cfg: dict[str, Any], n: int, seed: int) -> list[int]:
     if inputs == "random-binary":
         rng = random.Random(f"inputs-{seed}")
         return [rng.randint(0, 1) for _ in range(n)]
-    if isinstance(inputs, list) and len(inputs) == n:
-        try:
-            return [int(v) for v in inputs]
-        except (TypeError, ValueError):
-            pass
+    if isinstance(inputs, list) and len(inputs) == n and all(map(_is_int, inputs)):
+        return inputs
     raise UsageError(f"inputs must be 'random-binary' or a list of {n} integers")
 
 
+def _is_int(value: Any) -> bool:
+    """Is `value` an integer? JSON true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(cfg: dict[str, Any], key: str, default: int | None = None) -> int:
-    """Config field `key` as an int, or `default` when it is unset; without
-    a default the field is required."""
+    """Config field `key`, which must be an integer, or `default` when it is
+    unset; without a default the field is required."""
     value = cfg.get(key)
     if value is None:
         if default is None:
             raise UsageError(f"{key} is required")
         return default
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer, got {value!r}") from None
+    if not _is_int(value):
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _horizon(cfg: dict[str, Any], default: int) -> int:
@@ -122,25 +128,25 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
         raise UsageError(f"need 1 <= D <= n-1, got D={D}")
     if x < 1:
         raise UsageError(f"the stable-window length x must be >= 1, got x={x}")
-    decide_span = N * (D + 2 * N)
-    if cfg.get("sequence"):
-        seq = _load_sequence(cfg["sequence"], n)
-        window = next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
-        horizon = _horizon(cfg, len(seq))
-    else:
-        start = _int(cfg, "stability_start", adversary.window_start(n, x, seed))
-        horizon = _horizon(cfg, start + x - 1 + decide_span + 5)
-        try:
-            seq, window = adversary.generate_stable(n, D, x, start, horizon, seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
     try:
         algo = LockingConsensus(N=N, D=D, **{k: cfg[k] for k in LOCKING_KNOBS if k in cfg})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if cfg.get("sequence"):
+        seq = _load_sequence(cfg["sequence"], n)
+        # Find the window on the whole file: the horizon may cut it short.
+        window = next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
+        seq = GraphSequence(n, seq.graphs[: _horizon(cfg, len(seq))])
+    else:
+        start = _int(cfg, "stability_start", adversary.window_start(n, x, seed))
+        horizon = _horizon(cfg, start + x - 1 + algo.decide_span + 5)
+        try:
+            seq, window = adversary.generate_stable(n, D, x, start, horizon, seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     inputs = _resolve_inputs(cfg, n, seed)
-    exec_ = engine.run(algo, inputs, seq, horizon=min(horizon, len(seq)))
-    deadline = window[1] + decide_span if window else exec_.rounds
+    exec_ = engine.run(algo, inputs, seq)
+    deadline = window[1] + algo.decide_span if window else exec_.rounds
     verdict = verification.check_consensus(exec_, deadline)
     verdict.invariant_failures.extend(verification.check_detection_soundness(exec_, D))
     if window:
@@ -277,8 +283,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    if args.dotted_first is not None:
-        params["dotted_first"] = args.dotted_first
     try:
         seq = adversary.scenario(args.name, **params)
     except ValueError as exc:
@@ -309,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int)
         p.add_argument("--sequence", help="JSON-lines sequence file to run on")
         p.add_argument("--stability-start", type=int, dest="stability_start")
-        p.add_argument(
-            "--history-window",
-            choices=["deadline", "squared"],
-            dest="history_window",
-            help="lookback of the decide guard; 'squared' is a mutation that misses the deadline",
-        )
         p.add_argument("--prune", choices=["max", "min"], help="backoff queue pruning witness")
         p.add_argument(
             "--decide-rule",
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn.add_argument("--tau", type=int)
     p_scn.add_argument("--horizon", type=int)
     p_scn.add_argument("--seed", type=int)
-    p_scn.add_argument("--dotted-first", type=int, choices=[0, 1], dest="dotted_first")
     p_scn.add_argument("--out")
     p_scn.set_defaults(func=cmd_scenario)
     return parser

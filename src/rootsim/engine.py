@@ -155,7 +155,6 @@ def run(
     algorithm: Algorithm,
     inputs: list[int] | tuple[int, ...],
     seq: GraphSequence,
-    horizon: int | None = None,
 ) -> Execution:
     """Execute `algorithm` over `seq` from the given inputs.
 
@@ -166,9 +165,6 @@ def run(
     n = seq.n
     if len(inputs) != n:
         raise ValueError(f"got {len(inputs)} inputs for {n} processes")
-    rounds = len(seq) if horizon is None else horizon
-    if rounds > len(seq):
-        raise ValueError(f"horizon {rounds} exceeds sequence length {len(seq)}")
 
     states: list[list[Any]] = [[algorithm.initial_state(p, inputs[p])] for p in range(n)]
     lr: list[list[int]] = [[NEVER] * n for _ in range(n)]
@@ -179,7 +175,7 @@ def run(
     detected_history: list[tuple[frozenset[int] | None, ...]] = []
     memo = seeded_memo(seq)
 
-    for r in range(1, rounds + 1):
+    for r in range(1, len(seq) + 1):
         ins = seq.graph(r).ins
 
         merged: list[list[int]] = []

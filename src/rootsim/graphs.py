@@ -261,6 +261,8 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
         rounds = int(header["rounds"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"line 1: bad header ({exc})") from exc
+    if n < 1:
+        raise GraphError(f"line 1: need at least one process, got n={n}")
     if len(lines) - 1 != rounds:
         raise GraphError(f"line 1: header says {rounds} rounds, file has {len(lines) - 1}")
     graphs = []

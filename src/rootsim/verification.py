@@ -59,14 +59,8 @@ def decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
     return None, None
 
 
-def check_consensus(exec_: Execution, deadline: int | None = None) -> Verdict:
-    """Agreement, validity, and termination-by-deadline for one execution.
-
-    With deadline None, termination means "everyone decided by the last
-    recorded round".
-    """
-    if deadline is None:
-        deadline = exec_.rounds
+def check_consensus(exec_: Execution, deadline: int) -> Verdict:
+    """Agreement, validity, and termination-by-deadline for one execution."""
     decisions = [decision_of(exec_, p) for p in range(exec_.n)]
 
     agreement, agreement_witness = True, None

@@ -185,7 +185,7 @@ def test_criterion_7_lossy_link_safety():
         rng = random.Random(f"inputs-{seed}")
         inputs = [rng.randint(0, 1) for _ in range(2)]
         exec_ = run(LockingConsensus(**algo_cfg), inputs, seq)
-        verdict = verification.check_consensus(exec_)  # no deadline: safety only
+        verdict = verification.check_consensus(exec_, exec_.rounds)  # safety only
         if not (verdict.agreement and verdict.validity):
             bad.append(seed)
     assert report(7, not bad, f"20 runs x 500 rounds, {len(bad)} safety violations"), bad

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from rootsim import adversary
 from rootsim.adversary import (
+    GenerationError,
     check_diam,
     check_nonsplit,
     check_star_window,
@@ -164,6 +166,22 @@ class TestGenerateStable:
 
     def test_deterministic(self):
         assert stable(4, 3, 4, 60, 7)[0] == stable(4, 3, 4, 60, 7)[0]
+
+    def test_revalidation_skips_voting_properties(self, monkeypatch):
+        # Non-split rounds and broadcast windows are voting properties that
+        # membership ignores, so generation does not compute them.
+        def voting_only(*args):
+            raise AssertionError("voting-only check during generation")
+
+        monkeypatch.setattr(adversary, "check_nonsplit", voting_only)
+        monkeypatch.setattr(adversary, "check_star_window", voting_only)
+        seq, window = stable(4, 2, 3, 60, 9)
+        assert window in maximal_runs(seq.roots)
+
+    def test_failed_revalidation_raises(self, monkeypatch):
+        monkeypatch.setattr(adversary, "check_diam", lambda seq, D: (False, {"window_start": 3}))
+        with pytest.raises(GenerationError, match="diameter"):
+            stable(4, 2, 3, 60, 9)
 
     @pytest.mark.parametrize(
         "n,D,x,start,horizon",

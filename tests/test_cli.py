@@ -86,8 +86,16 @@ class TestBadInput:
             {"n": 3, "inputs": [1, 2, "a"]},
             {"n": 3, "adopt_unanimous": "no"},
             {"n": 3, "backoff": 1},
+            {"n": 3, "prun": "min"},
+            {"n": 3, "history_window": "squared"},
+            {"n": 3.7, "D": 1.9},
+            {"n": 3, "D": True},
+            {"n": "3"},
+            {"n": 3, "inputs": [True, False, 1]},
+            {"n": 3, "inputs": [0, 1, 1.9]},
         ],
-        ids=["prune", "n", "D", "inputs", "adopt_unanimous", "backoff"],
+        ids=["prune", "n", "D", "inputs", "adopt_unanimous", "backoff", "misspelled_key",
+             "history_window", "float", "bool", "string", "inputs_bool", "inputs_float"],
     )
     def test_bad_config_value_exits_two(self, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -171,6 +179,14 @@ class TestValidate:
 
     def test_missing_file(self):
         assert main(["validate", "/nonexistent.jsonl", "--D", "1", "--x", "1"]) == 2
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_header_without_processes_exits_two(self, n, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"n": n, "rounds": 0}) + "\n")
+        assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "line 1" in err[0], err
 
     @pytest.mark.parametrize("D,x", [(-1, 1), (0, 0), (0, 1), (1, 0)])
     def test_bound_below_one_exits_two(self, D, x, tmp_path, capsys):
@@ -283,6 +299,21 @@ class TestSequenceInput:
         code = main(["run", "--algorithm", "locking", "--n", "4", "--D", "2",
                      "--seed", "3", "--sequence", str(path)])
         assert code == 0
+
+    def test_locking_replay_honours_horizon(self, tmp_path):
+        n, D = 3, 2
+        seq, _ = adversary.generate_stable(n, D, D + 1, 4, 40, 1)
+        path = tmp_path / "seq.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(seq, fh)
+        cfg = {"algorithm": "locking", "n": n, "D": D, "sequence": str(path)}
+        full, verdict = cli.run_once(cfg, 0)
+        assert verdict.ok and full.rounds == 40
+        for horizon in (6, 40, 500):
+            cut, _ = cli.run_once(dict(cfg, horizon=horizon), 0)
+            rounds = min(horizon, 40)
+            assert cut.rounds == rounds
+            assert list(cut.trace_lines()) == list(full.trace_lines())[: rounds * n]
 
     def test_sequence_process_count_mismatch(self, tmp_path):
         from rootsim.graphs import CommGraph, GraphSequence, write_jsonl

@@ -134,11 +134,6 @@ class TestViewsEqualUntil:
 
 
 class TestContracts:
-    def test_horizon_beyond_sequence(self):
-        seq = random_sequence(random.Random(0), 2, 3)
-        with pytest.raises(ValueError):
-            run(Probe(), [0, 1], seq, horizon=4)
-
     def test_wrong_input_count(self):
         seq = random_sequence(random.Random(0), 3, 3)
         with pytest.raises(ValueError):

@@ -14,10 +14,8 @@ from rootsim.engine import ProcessView, run
 
 from conftest import sink_mutation_sequence
 
-KNOB_NAMES = ("prune", "history_window", "decide_rule", "backoff", "adopt_unanimous")
-KNOBS = list(
-    itertools.product(("max", "min"), ("deadline", "squared"), ("sliding", "exact"), (True, False), (True, False))
-)
+KNOB_NAMES = ("prune", "decide_rule", "backoff", "adopt_unanimous")
+KNOBS = list(itertools.product(("max", "min"), ("sliding", "exact"), (True, False), (True, False)))
 
 
 def locking(N, D, knobs):
@@ -44,38 +42,22 @@ def sink_case():
 # these cases every knob but adopt_unanimous changes some trace, and
 # adopt_unanimous changes the sink case's.
 KNOB_DIGESTS = {
-    ("max", "deadline", "sliding", True, True): "dc8e205a84c84042",
-    ("max", "deadline", "sliding", True, False): "23630d3e6b0bcdd9",
-    ("max", "deadline", "sliding", False, True): "24d30e6a33356a58",
-    ("max", "deadline", "sliding", False, False): "24d30e6a33356a58",
-    ("max", "deadline", "exact", True, True): "9902fa0c46f73812",
-    ("max", "deadline", "exact", True, False): "3664056f60616425",
-    ("max", "deadline", "exact", False, True): "a13af04941475405",
-    ("max", "deadline", "exact", False, False): "a13af04941475405",
-    ("max", "squared", "sliding", True, True): "0014a9ef307f1ca2",
-    ("max", "squared", "sliding", True, False): "8ccfef6b5184de28",
-    ("max", "squared", "sliding", False, True): "4b2d7c3167e9476a",
-    ("max", "squared", "sliding", False, False): "4b2d7c3167e9476a",
-    ("max", "squared", "exact", True, True): "0014a9ef307f1ca2",
-    ("max", "squared", "exact", True, False): "8ccfef6b5184de28",
-    ("max", "squared", "exact", False, True): "4b2d7c3167e9476a",
-    ("max", "squared", "exact", False, False): "4b2d7c3167e9476a",
-    ("min", "deadline", "sliding", True, True): "7ac5b5a17960f656",
-    ("min", "deadline", "sliding", True, False): "97dc6f593daed60e",
-    ("min", "deadline", "sliding", False, True): "24d30e6a33356a58",
-    ("min", "deadline", "sliding", False, False): "24d30e6a33356a58",
-    ("min", "deadline", "exact", True, True): "150f7f9468cf53e3",
-    ("min", "deadline", "exact", True, False): "8f7282b811a33bb8",
-    ("min", "deadline", "exact", False, True): "a13af04941475405",
-    ("min", "deadline", "exact", False, False): "a13af04941475405",
-    ("min", "squared", "sliding", True, True): "64b7beadd73132d5",
-    ("min", "squared", "sliding", True, False): "da145898e88c217d",
-    ("min", "squared", "sliding", False, True): "4b2d7c3167e9476a",
-    ("min", "squared", "sliding", False, False): "4b2d7c3167e9476a",
-    ("min", "squared", "exact", True, True): "64b7beadd73132d5",
-    ("min", "squared", "exact", True, False): "da145898e88c217d",
-    ("min", "squared", "exact", False, True): "4b2d7c3167e9476a",
-    ("min", "squared", "exact", False, False): "4b2d7c3167e9476a",
+    ("max", "sliding", True, True): "dc8e205a84c84042",
+    ("max", "sliding", True, False): "23630d3e6b0bcdd9",
+    ("max", "sliding", False, True): "24d30e6a33356a58",
+    ("max", "sliding", False, False): "24d30e6a33356a58",
+    ("max", "exact", True, True): "9902fa0c46f73812",
+    ("max", "exact", True, False): "3664056f60616425",
+    ("max", "exact", False, True): "a13af04941475405",
+    ("max", "exact", False, False): "a13af04941475405",
+    ("min", "sliding", True, True): "7ac5b5a17960f656",
+    ("min", "sliding", True, False): "97dc6f593daed60e",
+    ("min", "sliding", False, True): "24d30e6a33356a58",
+    ("min", "sliding", False, False): "24d30e6a33356a58",
+    ("min", "exact", True, True): "150f7f9468cf53e3",
+    ("min", "exact", True, False): "8f7282b811a33bb8",
+    ("min", "exact", False, True): "a13af04941475405",
+    ("min", "exact", False, False): "a13af04941475405",
 }
 
 
@@ -107,7 +89,9 @@ ORACLE_KNOBS = [DEFAULT] + [DEFAULT[:j] + FLIPPED[j : j + 1] + DEFAULT[j + 1 :] 
 ORACLE_CASES = [stable_case(n, D, seed) for n, D, seed in ((3, 1, 1), (4, 2, 2), (5, 4, 0), (6, 3, 1))] + [sink_case()]
 
 
-@pytest.fixture(scope="module", params=ORACLE_KNOBS, ids=lambda k: "-".join(map(str, k)))
+# The ids also name the decide guard's lookback, which is always the
+# decide span ("deadline").
+@pytest.fixture(scope="module", params=ORACLE_KNOBS, ids=lambda k: "-".join(map(str, (k[0], "deadline", *k[1:]))))
 def executions(request):
     return [run(locking(n, D, request.param), inputs, seq) for n, D, seq, inputs in ORACLE_CASES]
 
@@ -125,8 +109,8 @@ def test_since_starts_each_run_of_equal_keys(executions):
 
 def test_run_walk_matches_window_scans(executions):
     # At every (p, r) and for every proposal value: the locked values and
-    # both backoff cuts from scan_recent, and the decide guard under both
-    # history windows from the newest states, against slices of the rows.
+    # both backoff cuts from scan_recent, and the decide guard from the
+    # newest states, against slices of the rows.
     for exec_, (n, D, _, inputs) in zip(executions, ORACLE_CASES):
         N = n
         keys = [[key(st) for st in row] for row in exec_.states]
@@ -151,13 +135,9 @@ def test_run_walk_matches_window_scans(executions):
                     scanned = [s for w in window for s, k in enumerate(w, start=lo) if k != v]
                     assert max_cut == (max(scanned) if scanned else None), (p, r, v)
                     assert min_cut == (min(scanned) if scanned else None), (p, r, v)
-                    for span in (N * (D + 2 * N), (D + 2 * N) ** 2):
-                        s_lo = max(0, r - span)
-                        scan_guard = all(
-                            set(keys[q][s_lo : newest_round[q] + 1]) <= {v} for q in heard
-                        )
-                        walk_guard = all(key(st) == v and st.since <= s_lo for _, _, st in view.newest(lo2))
-                        assert scan_guard == walk_guard, (p, r, v, span)
+                    scan_guard = all(set(keys[q][lo2 : newest_round[q] + 1]) <= {v} for q in heard)
+                    walk_guard = all(key(st) == v and st.since <= lo2 for _, _, st in view.newest(lo2))
+                    assert scan_guard == walk_guard, (p, r, v)
 
 
 def test_states_share_one_queue_log_per_process():
