@@ -208,6 +208,7 @@ def _random_rooted_graph(
     ever points from outside the root into it (closedness). With
     `broadcast`, every root member additionally reaches everyone directly.
     """
+    coin = rng.random
     ins = [1 << v for v in range(n)]
     members = sorted(root)
     if len(members) > 1:
@@ -216,9 +217,10 @@ def _random_rooted_graph(
         for i, u in enumerate(ring):
             ins[ring[(i + 1) % len(ring)]] |= 1 << u
         for u in members:
+            bit = 1 << u
             for v in members:
-                if u != v and rng.random() < density:
-                    ins[v] |= 1 << u
+                if u != v and coin() < density:
+                    ins[v] |= bit
     rest = [p for p in range(n) if p not in root]
     rng.shuffle(rest)
     reachable = members[:]
@@ -226,9 +228,10 @@ def _random_rooted_graph(
         ins[v] |= 1 << rng.choice(reachable)
         reachable.append(v)
     for u in range(n):
+        bit = 1 << u
         for v in rest:
-            if u != v and rng.random() < density:
-                ins[v] |= 1 << u
+            if u != v and coin() < density:
+                ins[v] |= bit
     if broadcast:
         root_mask = sum(1 << p for p in root)
         ins = [m | root_mask for m in ins]
@@ -402,10 +405,12 @@ def scenario_indist_a(n: int, D: int, horizon: int) -> GraphSequence:
     processes D+2.. fed by every depicted process. From round 2D on, the
     two processes D and D+1 form an isolated alternating gadget feeding
     back into process 0: the edge D+1 -> D is present in rounds 2D,
-    2D+2, ... and absent in the rounds between.
+    2D+2, ... and absent in the rounds between. D = 1 is rejected: the
+    first phase then has no chain, and the sequence fails the diameter
+    property.
     """
-    if D < 1 or n <= D + 2:
-        raise ValueError(f"need n >= D+3, got n={n}, D={D}")
+    if D < 2 or n <= D + 2:
+        raise ValueError(f"need D >= 2 and n >= D+3, got n={n}, D={D}")
     if horizon < 2 * D:
         raise ValueError(f"horizon {horizon} does not reach the second phase (round {2 * D})")
     depicted = range(D + 2)
@@ -428,9 +433,10 @@ def scenario_indist_b(n: int, D: int, tau: int, horizon: int) -> GraphSequence:
     present in rounds D, D+2, ... below 2D, the gadget's edge D+1 -> D
     alternates as in indist-a from round 2D to tau, and from round tau+1
     the last process broadcasts forever, forming the eventual stable root.
+    Like indist-a, it needs D >= 2.
     """
-    if D < 1 or n <= D + 2:
-        raise ValueError(f"need n >= D+3, got n={n}, D={D}")
+    if D < 2 or n <= D + 2:
+        raise ValueError(f"need D >= 2 and n >= D+3, got n={n}, D={D}")
     if tau < 2 * D:
         raise ValueError(f"need tau >= 2D, got tau={tau}, D={D}")
     if horizon <= tau:

@@ -312,10 +312,10 @@ class VotingConsensus:
 
     def step(self, state: VoteState, view: ProcessView, r: int) -> tuple[VoteState, frozenset[int] | None]:
         proposal, vote, decided, decision = state
-        messages = {
-            q: (view.state(q, r - 1).vote, view.state(q, r - 1).proposal)
-            for q in members(view.in_report_mask(view.owner, r))
-        }
+        messages = {}
+        for q in members(view.in_report_mask(view.owner, r)):
+            st = view.state(q, r - 1)
+            messages[q] = (st.vote, st.proposal)
         prev_root = estimate_root(view, r - 1) if r >= 2 else None
 
         votes = {m for (m, _) in messages.values()}

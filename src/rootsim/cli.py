@@ -107,6 +107,14 @@ def _int(cfg: dict[str, Any], key: str, default: int | None = None) -> int:
     return value
 
 
+def _sequence_path(cfg: dict[str, Any]) -> str | None:
+    """The config's sequence file name, or None when it is unset."""
+    path = cfg.get("sequence")
+    if path is not None and not isinstance(path, str):
+        raise UsageError(f"sequence must be a file name, got {path!r}")
+    return path
+
+
 def _horizon(cfg: dict[str, Any], default: int) -> int:
     """The configured horizon, or `default` when none is set."""
     horizon = _int(cfg, "horizon", default)
@@ -132,8 +140,9 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
         algo = LockingConsensus(N=N, D=D, **{k: cfg[k] for k in LOCKING_KNOBS if k in cfg})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if cfg.get("sequence"):
-        seq = _load_sequence(cfg["sequence"], n)
+    path = _sequence_path(cfg)
+    if path is not None:
+        seq = _load_sequence(path, n)
         # Find the window on the whole file: the horizon may cut it short.
         window = next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
         seq = GraphSequence(n, seq.graphs[: _horizon(cfg, len(seq))])
@@ -164,8 +173,9 @@ def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verif
     if n < 2:
         raise UsageError("the voting algorithm needs n >= 2")
     stable_len = 3 * (n - 1)
-    if cfg.get("sequence"):
-        base = _load_sequence(cfg["sequence"], n)
+    path = _sequence_path(cfg)
+    if path is not None:
+        base = _load_sequence(path, n)
         rounds = min(_horizon(cfg, len(base)), len(base))
         rem = rounds % (n - 1)
         if rem:

@@ -8,6 +8,12 @@ compactly: because a process's round-s state contains its entire history,
 integer vector per process captures the whole view. Recorded states live
 in a single shared store indexed by (process, round).
 
+The merge of a round is a function of the receive set alone (every
+process hears itself), so it is computed once per distinct in-neighbour
+mask of the round; processes with the same mask each get their own copy.
+Nearly complete graphs, such as the compound graphs of the voting
+algorithm, share a few masks among all processes.
+
 Facts that depend only on the sequence and on recorded states, not on who
 reads them, are computed once per run in a memo that every view shares.
 It starts with each round's root for views that know every report of
@@ -178,10 +184,20 @@ def run(
     for r in range(1, len(seq) + 1):
         ins = seq.graph(r).ins
 
+        # One merge per distinct in-mask, but a list of its own for every
+        # process: merged[p][p] = r below must not reach another view. The
+        # copies are all taken before any process steps.
         merged: list[list[int]] = []
+        rows: dict[int, list[int]] = {}
         for p in range(n):
-            row = lr[p][:]
-            for q in members(ins[p] & ~(1 << p)):
+            mask = ins[p]
+            row = rows.get(mask)
+            if row is not None:
+                merged.append(row[:])
+                continue
+            senders = members(mask)
+            row = rows[mask] = lr[next(senders)][:]
+            for q in senders:
                 other = lr[q]
                 for i in range(n):
                     if other[i] > row[i]:

@@ -138,11 +138,16 @@ def compound(g1: CommGraph, g2: CommGraph) -> CommGraph:
 
     The boolean product of the adjacency matrices (diagonal forced to 1):
     w hears u in the result iff w hears some v in g2 that heard u in g1.
+    A w that hears in g2 some v that heard everyone in g1 hears everyone,
+    which spares the row walk in the nearly complete products of long
+    blocks.
     """
     if g1.n != g2.n:
         raise GraphError(f"process count mismatch: {g1.n} vs {g2.n}")
     ins1 = g1.ins
-    return CommGraph.from_ins([_union(ins1, m) for m in g2.ins])
+    everyone = (1 << g1.n) - 1
+    saturated = sum(1 << v for v, m in enumerate(ins1) if m == everyone)
+    return CommGraph.from_ins([everyone if m & saturated else _union(ins1, m) for m in g2.ins])
 
 
 def _union(ins: Sequence[int], mask: int) -> int:
@@ -250,6 +255,13 @@ def write_jsonl(seq: GraphSequence, fh: IO[str]) -> None:
         fh.write(json.dumps({"round": r, "edges": [list(e) for e in edges]}) + "\n")
 
 
+def _json_int(value: object, what: str) -> int:
+    """`value` if it is a JSON integer; floats, strings, true and false are not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def read_jsonl(fh: IO[str]) -> GraphSequence:
     """Parse the write_jsonl format; raises GraphError with a line number."""
     lines = [ln for ln in (raw.strip() for raw in fh) if ln]
@@ -257,8 +269,8 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
         raise GraphError("line 1: empty sequence file")
     try:
         header = json.loads(lines[0])
-        n = int(header["n"])
-        rounds = int(header["rounds"])
+        n = _json_int(header["n"], "n")
+        rounds = _json_int(header["rounds"], "rounds")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"line 1: bad header ({exc})") from exc
     if n < 1:
@@ -269,7 +281,10 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
     for i, ln in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(ln)
-            graphs.append(CommGraph(n, ((int(u), int(v)) for u, v in obj["edges"])))
+            edges = [
+                (_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint")) for u, v in obj["edges"]
+            ]
+            graphs.append(CommGraph(n, edges))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
             raise GraphError(f"line {i}: {exc}") from exc
     return GraphSequence(n, tuple(graphs))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .engine import Execution
-from .graphs import CommGraph, GraphSequence, causal_past, maximal_runs
+from .graphs import maximal_runs
 
 
 @dataclass
@@ -269,69 +269,3 @@ def check_detection_completeness(
                     "expected": sorted(root),
                 })
     return failures
-
-
-def check_information_propagation(graphs: list[CommGraph], X: set[int]) -> bool:
-    """Any set hitting every root influences everyone within n rooted rounds.
-
-    Given exactly n rooted graphs (n = process count) and a set X containing
-    a member of every graph's root component, verifies that every process p
-    has, for some q in X and round r, q in the round-r root with q's round-r
-    information reaching p by the end of the last round.
-    """
-    if not graphs:
-        raise ValueError("need at least one graph")
-    n = graphs[0].n
-    if len(graphs) != n:
-        raise ValueError(f"need exactly {n} graphs for {n} processes, got {len(graphs)}")
-    seq = GraphSequence(n, tuple(graphs))
-    roots = seq.roots
-    for r, root in enumerate(roots, start=1):
-        if root is None:
-            raise ValueError(f"graph at position {r} is not rooted")
-        if not X & root:
-            raise ValueError(f"X misses the root of the graph at position {r}")
-    for p in range(n):
-        ok = any(
-            q in roots[r - 1] and q in causal_past(seq, p, r, n)
-            for r in range(1, n + 1)
-            for q in X
-        )
-        if not ok:
-            return False
-    return True
-
-
-def brute_force_roots(g: CommGraph) -> frozenset[frozenset[int]]:
-    """Exponential root-component oracle: all closed strongly connected sets.
-
-    Only usable for small n; kept here as the independent cross-check for
-    the production computation.
-    """
-    n = g.n
-    succ: dict[int, set[int]] = {u: set() for u in range(n)}
-    for u, v in g.edges:
-        succ[u].add(v)
-    found = []
-    for mask in range(1, 1 << n):
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        # closed: no edge from outside into the set
-        if any(v in members and u not in members for u, v in g.edges):
-            continue
-        # strongly connected (with implicit self-loops, singletons qualify)
-        ok = True
-        for src in members:
-            seen = {src}
-            frontier = [src]
-            while frontier:
-                u = frontier.pop()
-                for v in succ[u]:
-                    if v in members and v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            if seen != members:
-                ok = False
-                break
-        if ok:
-            found.append(members)
-    return frozenset(found)

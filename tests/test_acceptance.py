@@ -15,6 +15,8 @@ from rootsim.algorithms import LockingConsensus
 from rootsim.engine import run, views_equal_until
 from rootsim.graphs import GraphSequence, root_components, single_root
 
+from oracles import check_information_propagation
+
 SWEEP_GRID = [(n, D) for n in range(2, 7) for D in range(1, n)]
 SEEDS = range(200)
 
@@ -121,16 +123,19 @@ def test_criterion_4_information_propagation_brute_force():
                 graphs.append(g)
             # X: one representative from every root component.
             X = {min(root) for g in graphs for root in root_components(g)}
-            assert verification.check_information_propagation(graphs, X)
+            assert check_information_propagation(graphs, X)
             checked += 1
     duration = time.time() - t0
     ok = checked == 3000 and duration < 30
     assert report(4, ok, f"{checked} instances, {duration:.1f}s")
 
 
-def test_criterion_5_indistinguishability():
-    n, D, tau = 12, 2, 6
-    horizon = tau + 4
+@pytest.mark.parametrize("D", [2, 3])
+def test_criterion_5_indistinguishability(D):
+    # The horizon leaves indist-b's final star window 2D rounds, enough for
+    # membership at x = 2D-1.
+    n, tau = D + 3, 2 * D + 2
+    horizon = tau + 2 * D
     seq1 = adversary.scenario("indist-a", n=n, D=D, horizon=horizon)
     seq2 = adversary.scenario("indist-b", n=n, D=D, tau=tau, horizon=horizon)
     inputs = [p % 2 for p in range(n)]
@@ -146,7 +151,7 @@ def test_criterion_5_indistinguishability():
     assert report(
         5,
         ok,
-        f"views equal through {tau}: {confused_ok}; head diverges: {head_diverges}; "
+        f"D={D}: views equal through {tau}: {confused_ok}; head diverges: {head_diverges}; "
         f"membership: {member1}/{member2}",
     )
 

@@ -229,6 +229,20 @@ class TestScenarios:
         with pytest.raises(ValueError):
             scenario("indist-a", n=4, D=2, horizon=10)
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("indist-a", {"n": 5, "D": 1, "horizon": 8}),
+            ("indist-b", {"n": 5, "D": 1, "tau": 4, "horizon": 8}),
+        ],
+        ids=["a", "b"],
+    )
+    def test_indist_pair_rejects_diameter_below_two(self, name, params):
+        # At D = 1 both builders used to return sequences that fail the
+        # diameter property they are meant to satisfy.
+        with pytest.raises(ValueError, match="D >= 2"):
+            scenario(name, **params)
+
     def test_chain_gadgets(self):
         ga = scenario("chain-a", n=6, D=3, horizon=1).graph(1)
         assert single_root(ga) == frozenset({0})

@@ -104,6 +104,19 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    @pytest.mark.parametrize("algorithm", ["locking", "voting"])
+    @pytest.mark.parametrize(
+        "sequence", [0, 987654, 1.5, ["seq.jsonl"]], ids=["zero", "fd", "float", "list"]
+    )
+    def test_non_string_sequence_exits_two(self, algorithm, sequence, tmp_path, capsys):
+        # 0 used to read as unset and generate a sequence, and any other
+        # integer was opened as a file descriptor (this one is not open).
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": algorithm, "n": 3, "sequence": sequence}))
+        assert main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: sequence must be a file name, got {sequence!r}"]
+
     def test_voting_horizon_equal_to_window_runs(self):
         # The shortest accepted voting horizon is the stable window itself.
         assert main(["run", "--algorithm", "voting", "--n", "4", "--horizon", "9"]) == 0
@@ -180,6 +193,27 @@ class TestValidate:
     def test_missing_file(self):
         assert main(["validate", "/nonexistent.jsonl", "--D", "1", "--x", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "header,edge",
+        [
+            ({"n": 2.9, "rounds": 1}, [0, 1]),
+            ({"n": 2, "rounds": 1}, [0, 1.7]),
+            ({"n": True, "rounds": 1}, [0, 0]),
+            ({"n": "2", "rounds": 1}, [0, 1]),
+            ({"n": 2, "rounds": 1.0}, [0, 1]),
+            ({"n": 2, "rounds": 1}, ["0", 1]),
+            ({"n": 2, "rounds": 1}, [False, True]),
+        ],
+        ids=["n_float", "edge_float", "n_bool", "n_string", "rounds_float", "edge_string", "edge_bool"],
+    )
+    def test_non_integer_sequence_field_exits_two(self, header, edge, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(header) + "\n" + json.dumps({"round": 1, "edges": [edge]}) + "\n")
+        assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and "must be an integer" in err, err
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_header_without_processes_exits_two(self, n, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -222,6 +256,13 @@ class TestScenario:
 
     def test_bad_params(self):
         assert main(["scenario", "indist-a", "--n", "3", "--D", "2", "--horizon", "8"]) == 2
+
+    @pytest.mark.parametrize("name", ["indist-a", "indist-b"])
+    def test_indist_diameter_one_exits_two(self, name, capsys):
+        argv = ["scenario", name, "--n", "5", "--D", "1", "--tau", "4", "--horizon", "8"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     @pytest.mark.parametrize(
         "argv",

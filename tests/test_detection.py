@@ -6,9 +6,8 @@ from rootsim.detection import estimate_root
 from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, members, single_root, star
 from rootsim.adversary import generate_rooted, generate_stable, window_start
-from rootsim.verification import brute_force_roots
-
 from conftest import Probe, random_sequence
+from oracles import brute_force_roots
 
 
 def g(n, edges):

@@ -14,26 +14,70 @@ def g(n, edges):
     return CommGraph(n, edges)
 
 
+def complete(n):
+    return g(n, [(u, v) for u in range(n) for v in range(n)])
+
+
+def assert_knowledge_equals_causal_past(seq):
+    """After round r, p knows q's round-s state iff q is in p's causal past
+    from round s: the independent graph-level oracle. Each state is unique
+    to its (pid, round), so knowledge tracking cannot alias."""
+    n = seq.n
+    exec_ = run(Probe(), list(range(n)), seq)
+    for r in range(1, len(seq) + 1):
+        vec = exec_.lastrounds[r - 1]
+        for p in range(n):
+            for q in range(n):
+                lr = vec[p][q]
+                for s in range(0, r + 1):
+                    knows = s <= lr
+                    assert knows == (q in causal_past(seq, p, s, r)), (p, q, s, r)
+
+
 class TestFullInformation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_knowledge_equals_causal_past(self, n):
-        # Exhaustive cross-check against the independent graph-level oracle:
-        # after round r, p knows q's round-s state iff q is in p's causal
-        # past from round s. Each state is unique to its (pid, round), so
-        # knowledge tracking cannot alias.
         rng = random.Random(n * 17)
         for _ in range(6):
             horizon = rng.randint(5, 20)
-            seq = random_sequence(rng, n, horizon, density=rng.uniform(0.1, 0.5))
-            exec_ = run(Probe(), list(range(n)), seq)
-            for r in range(1, horizon + 1):
-                vec = exec_.lastrounds[r - 1]
-                for p in range(n):
-                    for q in range(n):
-                        lr = vec[p][q]
-                        for s in range(0, r + 1):
-                            knows = s <= lr
-                            assert knows == (q in causal_past(seq, p, s, r)), (p, q, s, r)
+            assert_knowledge_equals_causal_past(
+                random_sequence(rng, n, horizon, density=rng.uniform(0.1, 0.5))
+            )
+
+    @pytest.mark.parametrize("kind", ["complete", "stars", "complete_and_empty", "voting"])
+    def test_knowledge_equals_causal_past_on_repeated_masks(self, kind):
+        # Rounds in which several processes share one receive set, so the
+        # engine merges that set once and hands out copies.
+        n = 5
+        if kind == "voting":
+            seqs = [
+                adversary.compound_sequence(adversary.generate_rooted(n, 36, seed, stable_len=12))
+                for seed in range(3)
+            ]
+        else:
+            graphs = {
+                "complete": (complete(n),) * 4,
+                "stars": tuple(star(c, n) for c in (0, 0, 3, 1, 4, 4, 2)),
+                "complete_and_empty": (g(n, []), complete(n), g(n, []), star(2, n), complete(n)),
+            }[kind]
+            seqs = [GraphSequence(n, graphs)]
+        for seq in seqs:
+            assert_knowledge_equals_causal_past(seq)
+
+    def test_shared_mask_views_read_previous_round(self):
+        # Every process has the complete receive set, so all of a round's
+        # views come from one merge; each must still see every other
+        # process's entry as r-1, also after earlier views in the same
+        # round have stepped.
+        n = 4
+        seen = []
+
+        def hook(state, view, r):
+            seen.append((view.owner, r, list(view.lastround)))
+
+        run(Probe(hook), list(range(n)), GraphSequence(n, (complete(n),) * 3))
+        assert len(seen) == 3 * n
+        assert all(lastround == [r - 1] * n for _, r, lastround in seen), seen
 
     def test_first_round_chain(self):
         seq = GraphSequence(2, (g(2, [(0, 1)]),) * 3)

@@ -18,9 +18,8 @@ from rootsim.graphs import (
     star,
     write_jsonl,
 )
-from rootsim.verification import brute_force_roots
-
 from conftest import random_graph, random_sequence
+from oracles import brute_force_roots, compound_edges
 
 
 def g(n, edges):
@@ -144,20 +143,28 @@ class TestCompound:
             assert compound(compound(a, b), c) == compound(a, compound(b, c))
 
     def test_compound_matches_matrix_product(self):
-        # Independent oracle: boolean adjacency product with forced diagonal.
         rng = random.Random(11)
         for _ in range(100):
             n = rng.randint(2, 5)
             g1, g2 = random_graph(rng, n), random_graph(rng, n)
-            m1 = [[u == v or (u, v) in g1.edges for v in range(n)] for u in range(n)]
-            m2 = [[u == v or (u, v) in g2.edges for v in range(n)] for u in range(n)]
-            expect = {
-                (u, v)
-                for u in range(n)
-                for v in range(n)
-                if u != v and any(m1[u][k] and m2[k][v] for k in range(n))
-            }
-            assert compound(g1, g2).edges == frozenset(expect)
+            assert compound(g1, g2).edges == compound_edges(g1, g2)
+
+    def test_compound_with_saturated_rows_matches_matrix_product(self):
+        # Dense first factors give rows that already hear everyone, so the
+        # saturated shortcut fires next to targets that still need the walk.
+        rng = random.Random(12)
+        saturated_seen = 0
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            g1 = random_graph(rng, n, density=rng.uniform(0.5, 0.95))
+            g2 = random_graph(rng, n, density=rng.uniform(0.0, 0.4))
+            full = (1 << n) - 1
+            saturated_seen += any(
+                m & sum(1 << v for v, row in enumerate(g1.ins) if row == full) for m in g2.ins
+            )
+            assert compound(g1, g2).edges == compound_edges(g1, g2)
+            assert compound_all([g1, g2, g1]).edges == compound_edges(compound(g1, g2), g1)
+        assert saturated_seen > 50
 
     def test_compound_all_star_chain(self):
         result = compound_all([star(0, 3), star(1, 3)])

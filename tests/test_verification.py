@@ -5,15 +5,14 @@ from rootsim.algorithms import LockingConsensus, LockState
 from rootsim.engine import Execution, run, views_equal_until
 from rootsim.graphs import CommGraph, GraphSequence, maximal_runs, star
 from rootsim.verification import (
-    brute_force_roots,
     check_agreement_stability,
     check_consensus,
-    check_information_propagation,
     check_post_window_lock,
     track_v_locked_windows,
 )
 
 from conftest import Probe
+from oracles import brute_force_roots, check_information_propagation
 
 
 def g(n, edges):
