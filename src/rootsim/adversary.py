@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .graphs import (
@@ -27,54 +26,6 @@ from .graphs import (
 
 class GenerationError(RuntimeError):
     """Random sequence generation could not satisfy its constraints."""
-
-
-@dataclass
-class MembershipReport:
-    """Result of validating one sequence against the adversary properties."""
-
-    n: int
-    rounds: int
-    D: int
-    x: int
-    rooted_ok: bool
-    first_unrooted_round: int | None
-    diam_ok: bool
-    first_diam_violation: dict[str, Any] | None
-    stability_windows: list[tuple[int, int, frozenset[int]]]
-    stability_ok: bool
-    nonsplit_ok: bool
-    first_split: tuple[int, int, int] | None
-    star_windows: list[tuple[int, int, frozenset[int]]] = field(default_factory=list)
-
-    @property
-    def member(self) -> bool:
-        """Membership in ROOTED + diameter-D + x-round-stability."""
-        return self.rooted_ok and self.diam_ok and self.stability_ok
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "rounds": self.rounds,
-            "D": self.D,
-            "x": self.x,
-            "rooted_ok": self.rooted_ok,
-            "first_unrooted_round": self.first_unrooted_round,
-            "diam_ok": self.diam_ok,
-            "first_diam_violation": self.first_diam_violation,
-            "stability_windows": [
-                {"start": s, "end": e, "root": sorted(root)}
-                for (s, e, root) in self.stability_windows
-            ],
-            "stability_ok": self.stability_ok,
-            "nonsplit_ok": self.nonsplit_ok,
-            "first_split": list(self.first_split) if self.first_split else None,
-            "star_windows": [
-                {"start": s, "end": e, "root": sorted(root)}
-                for (s, e, root) in self.star_windows
-            ],
-            "member": self.member,
-        }
 
 
 def check_diam(seq: GraphSequence, D: int) -> tuple[bool, dict[str, Any] | None]:
@@ -135,28 +86,35 @@ def check_star_window(seq: GraphSequence, y: int) -> list[tuple[int, int, frozen
     return [(s, e, root) for (s, e, root) in maximal_runs(broadcast_roots) if e - s + 1 >= y]
 
 
-def membership_report(seq: GraphSequence, D: int, x: int) -> MembershipReport:
-    """Run all checkers and collect the results in one report."""
+def membership_report(seq: GraphSequence, D: int, x: int) -> dict[str, Any]:
+    """Run all checkers and collect the results in one JSON object. The
+    sequence is a member when it is rooted, has diameter D and has an
+    x-round stable window."""
     first_unrooted = next((r for r, root in enumerate(seq.roots, start=1) if root is None), None)
     diam_ok, diam_violation = check_diam(seq, D)
     windows = maximal_runs(seq.roots)
     stability_ok = any(e - s + 1 >= x for (s, e, _) in windows)
     nonsplit_ok, first_split = check_nonsplit(seq)
-    return MembershipReport(
-        n=seq.n,
-        rounds=len(seq),
-        D=D,
-        x=x,
-        rooted_ok=first_unrooted is None,
-        first_unrooted_round=first_unrooted,
-        diam_ok=diam_ok,
-        first_diam_violation=diam_violation,
-        stability_windows=windows,
-        stability_ok=stability_ok,
-        nonsplit_ok=nonsplit_ok,
-        first_split=first_split,
-        star_windows=check_star_window(seq, 1),
-    )
+    return {
+        "n": seq.n,
+        "rounds": len(seq),
+        "D": D,
+        "x": x,
+        "rooted_ok": first_unrooted is None,
+        "first_unrooted_round": first_unrooted,
+        "diam_ok": diam_ok,
+        "first_diam_violation": diam_violation,
+        "stability_windows": _windows_json(windows),
+        "stability_ok": stability_ok,
+        "nonsplit_ok": nonsplit_ok,
+        "first_split": list(first_split) if first_split else None,
+        "star_windows": _windows_json(check_star_window(seq, 1)),
+        "member": first_unrooted is None and diam_ok and stability_ok,
+    }
+
+
+def _windows_json(windows: list[tuple[int, int, frozenset[int]]]) -> list[dict[str, Any]]:
+    return [{"start": s, "end": e, "root": sorted(root)} for (s, e, root) in windows]
 
 
 def compound_sequence(seq: GraphSequence) -> GraphSequence:
@@ -495,16 +453,19 @@ def _gadget_scenario(variant: str) -> Callable[[dict[str, Any]], GraphSequence]:
     return build
 
 
-# Scenario name -> (builder from the parameter dict, required parameters).
-# Each parameter name is also the name of its `rootsim scenario` flag.
-SCENARIOS: dict[str, tuple[Callable[[dict[str, Any]], GraphSequence], tuple[str, ...]]] = {
-    "indist-a": (lambda p: scenario_indist_a(p["n"], p["D"], p["horizon"]), ("n", "D", "horizon")),
+# Scenario name -> (builder from the parameter dict, required parameters,
+# optional parameters). Each parameter name is also the name of its
+# `rootsim scenario` flag.
+Builder = Callable[[dict[str, Any]], GraphSequence]
+SCENARIOS: dict[str, tuple[Builder, tuple[str, ...], tuple[str, ...]]] = {
+    "indist-a": (lambda p: scenario_indist_a(p["n"], p["D"], p["horizon"]), ("n", "D", "horizon"), ()),
     "indist-b": (
         lambda p: scenario_indist_b(p["n"], p["D"], p["tau"], p["horizon"]),
         ("n", "D", "tau", "horizon"),
+        (),
     ),
-    **{f"chain-{v}": (_gadget_scenario(v), ("n", "D")) for v in "abcd"},
-    "lossy-link": (lambda p: scenario_lossy_link(p["horizon"], p.get("seed", 0)), ("horizon",)),
+    **{f"chain-{v}": (_gadget_scenario(v), ("n", "D"), ("horizon",)) for v in "abcd"},
+    "lossy-link": (lambda p: scenario_lossy_link(p["horizon"], p.get("seed", 0)), ("horizon",), ("seed",)),
 }
 SCENARIO_NAMES = tuple(SCENARIOS)
 
@@ -513,10 +474,13 @@ def scenario(name: str, **params: Any) -> GraphSequence:
     """Build a scripted sequence by name; see SCENARIOS."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    build, required = SCENARIOS[name]
+    build, required, optional = SCENARIOS[name]
     missing = [f"--{key}" for key in required if params.get(key) is None]
     if missing:
         raise ValueError(f"needs {' and '.join(missing)}")
+    extra = [f"--{key}" for key in params if key not in required and key not in optional]
+    if extra:
+        raise ValueError(f"takes no {' or '.join(extra)}")
     if params.get("horizon", 1) < 1:
         raise ValueError(f"the horizon must be >= 1, got {params['horizon']}")
     return build(params)

@@ -92,7 +92,9 @@ class LockState(NamedTuple):
     in the process's state row that ends at this state. `since` is derived
     bookkeeping and is not traced. `queue` is a window on the process's
     queue log (LockQueue); any tuple of rounds also serves where no round
-    computation steps the state."""
+    computation steps the state. `detected` is the root component of the
+    round r-D graph that the process detected in its round-r computation,
+    or None."""
 
     proposal: int
     locked: bool
@@ -101,6 +103,7 @@ class LockState(NamedTuple):
     decided: bool
     decision: int | None
     since: int = 0
+    detected: frozenset[int] | None = None
 
 
 def scan_recent(view: ProcessView, lo: int, proposal: int) -> tuple[set[int], int | None, int | None]:
@@ -133,10 +136,14 @@ def scan_recent(view: ProcessView, lo: int, proposal: int) -> tuple[set[int], in
 
 
 class VoteState(NamedTuple):
+    """One process's voting state; `detected` is the root component of the
+    round r-1 graph that it detected in its round-r computation, or None."""
+
     proposal: int
     vote: int | None
     decided: bool
     decision: int | None
+    detected: frozenset[int] | None = None
 
 
 class LockingConsensus:
@@ -205,11 +212,12 @@ class LockingConsensus:
             "queue": list(state.queue),
             "decided": state.decided,
             "decision": state.decision,
+            "detected_root": sorted(state.detected) if state.detected is not None else None,
         }
 
-    def step(self, state: LockState, view: ProcessView, r: int) -> tuple[LockState, frozenset[int] | None]:
+    def step(self, state: LockState, view: ProcessView, r: int) -> LockState:
         N, D = self.N, self.D
-        proposal, locked, lockround, queue, decided, decision, since = state
+        proposal, locked, lockround, queue, decided, decision, since, _ = state
 
         root = estimate_root(view, r - D) if r > D else None
 
@@ -271,7 +279,7 @@ class LockingConsensus:
 
         if (proposal if locked else None) != (state.proposal if state.locked else None):
             since = r
-        return LockState(proposal, locked, lockround, queue, decided, decision, since), root
+        return LockState(proposal, locked, lockround, queue, decided, decision, since, root)
 
 
 def value_of_root(
@@ -308,10 +316,11 @@ class VotingConsensus:
             "decided": state.decided,
             "decision": state.decision,
             "vote": state.vote,
+            "detected_root": sorted(state.detected) if state.detected is not None else None,
         }
 
-    def step(self, state: VoteState, view: ProcessView, r: int) -> tuple[VoteState, frozenset[int] | None]:
-        proposal, vote, decided, decision = state
+    def step(self, state: VoteState, view: ProcessView, r: int) -> VoteState:
+        proposal, vote, decided, decision, _ = state
         messages = {}
         for q in members(view.in_report_mask(view.owner, r)):
             st = view.state(q, r - 1)
@@ -325,16 +334,16 @@ class VotingConsensus:
             vote = v
             if not decided:
                 decided, decision = True, v
-            return VoteState(proposal, vote, decided, decision), prev_root
+            return VoteState(proposal, vote, decided, decision, prev_root)
 
         if prev_root is not None:
             dictated = value_of_root(prev_root, messages)
             if dictated is not None:
-                return VoteState(dictated, dictated, decided, decision), prev_root
+                return VoteState(dictated, dictated, decided, decision, prev_root)
 
         pending = [m for (m, _) in messages.values() if m is not None]
         if pending:
             # Adopt a received pending vote; pick deterministically.
             chosen = messages[min(q for q in messages if messages[q][0] is not None)][0]
-            return VoteState(chosen, None, decided, decision), prev_root  # type: ignore[arg-type]
-        return VoteState(proposal, None, decided, decision), prev_root
+            return VoteState(chosen, None, decided, decision, prev_root)  # type: ignore[arg-type]
+        return VoteState(proposal, None, decided, decision, prev_root)

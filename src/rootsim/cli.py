@@ -34,6 +34,8 @@ RUN_KEYS = ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
 LOCKING_KNOBS = ("prune", "adopt_unanimous", "backoff", "decide_rule")
 # Every key a config file may hold.
 CONFIG_KEYS = {*RUN_KEYS, *LOCKING_KNOBS, "inputs", "trials"}
+# Config fields that only the locking algorithm reads.
+LOCKING_KEYS = ("N", "D", "x", "stability_start", *LOCKING_KNOBS)
 
 
 class UsageError(Exception):
@@ -142,6 +144,8 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
         raise UsageError(str(exc)) from exc
     path = _sequence_path(cfg)
     if path is not None:
+        if cfg.get("stability_start") is not None:
+            raise UsageError("stability_start applies to generated sequences, not to a sequence replay")
         seq = _load_sequence(path, n)
         # Find the window on the whole file: the horizon may cut it short.
         window = next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
@@ -169,6 +173,9 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
 
 
 def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verification.Verdict]:
+    ignored = [key for key in LOCKING_KEYS if cfg.get(key) is not None]
+    if ignored:
+        raise UsageError(f"the voting algorithm takes no {', '.join(map(repr, ignored))}")
     n = _int(cfg, "n")
     if n < 2:
         raise UsageError("the voting algorithm needs n >= 2")
@@ -283,8 +290,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise UsageError(f"need D >= 1 and x >= 1, got D={args.D}, x={args.x}")
     seq = _load_sequence(args.sequence)
     report = adversary.membership_report(seq, args.D, args.x)
-    print(json.dumps(report.to_json(), indent=2))
-    return 0 if report.member else 1
+    print(json.dumps(report, indent=2))
+    return 0 if report["member"] else 1
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:

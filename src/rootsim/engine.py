@@ -2,11 +2,15 @@
 
 Processes run a full-information protocol: each round they forward
 everything they know along the round's edges, merge what they receive,
-and then run the algorithm's round computation. Knowledge is represented
-compactly: because a process's round-s state contains its entire history,
-"p knows q's round-s state" is equivalent to "s <= lastround_p[q]", so one
-integer vector per process captures the whole view. Recorded states live
-in a single shared store indexed by (process, round).
+and then run the algorithm's round computation, which returns the
+process's new state. Whatever that computation derives from its view,
+such as a root estimate, is part of the state: the engine records states
+and knowledge, and nothing algorithm-specific beside them. Knowledge is
+represented compactly: because a process's round-s state contains its
+entire history, "p knows q's round-s state" is equivalent to
+"s <= lastround_p[q]", so one integer vector per process captures the
+whole view. Recorded states live in a single shared store indexed by
+(process, round).
 
 The merge of a round is a function of the receive set alone (every
 process hears itself), so it is computed once per distinct in-neighbour
@@ -44,8 +48,9 @@ class Algorithm(Protocol):
 
     def initial_state(self, pid: int, x: int) -> Any: ...
 
-    def step(self, state: Any, view: "ProcessView", r: int) -> tuple[Any, frozenset[int] | None]:
-        """Round computation: returns (new state, detected root or None)."""
+    def step(self, state: Any, view: "ProcessView", r: int) -> Any:
+        """Round computation: returns the new state, which carries any
+        root estimate the computation made."""
         ...
 
     def trace_fields(self, state: Any) -> dict[str, Any]: ...
@@ -58,9 +63,9 @@ class ProcessView:
     known (NEVER if q was never heard of). It is the only knowledge bound:
     q's round-s state is readable iff 0 <= s <= lastround[q]. The owner's
     own entry is r-1, since its round-r state is what the current
-    computation produces. Every state read goes through `state`, which
-    raises EngineError outside the view, or through `newest`, which reads
-    only each process's newest known state.
+    computation produces, root estimate included. Every state read goes
+    through `state`, which raises EngineError outside the view, or through
+    `newest`, which reads only each process's newest known state.
 
     `memo` is shared by every view of one run. It holds the root estimates
     of detection.estimate_root, keyed (s, mask of the processes whose
@@ -120,13 +125,13 @@ class ProcessView:
 
 @dataclass
 class Execution:
-    """Complete record of one run: inputs, sequence, states, knowledge."""
+    """Complete record of one run: inputs, sequence, states, knowledge.
+    A trace line is one state's `trace_fields` after its round and pid."""
 
     inputs: tuple[int, ...]
     seq: GraphSequence
     states: list[list[Any]]  # states[p][s], s = 0..rounds
     lastrounds: list[tuple[tuple[int, ...], ...]]  # [r-1][p] post-round vector
-    detected: list[tuple[frozenset[int] | None, ...]]  # [r-1][p]
     trace_fields: Callable[[Any], dict[str, Any]]
 
     @property
@@ -142,8 +147,6 @@ class Execution:
             for p in range(self.n):
                 entry: dict[str, Any] = {"round": r, "pid": p}
                 entry.update(self.trace_fields(self.states[p][r]))
-                root = self.detected[r - 1][p]
-                entry["detected_root"] = sorted(root) if root is not None else None
                 yield entry
 
     def trace_hash(self) -> str:
@@ -178,7 +181,6 @@ def run(
         lr[p][p] = 0
 
     lastrounds: list[tuple[tuple[int, ...], ...]] = []
-    detected_history: list[tuple[frozenset[int] | None, ...]] = []
     memo = seeded_memo(seq)
 
     for r in range(1, len(seq) + 1):
@@ -204,11 +206,10 @@ def run(
                         row[i] = other[i]
             merged.append(row)
 
-        detected_row: list[frozenset[int] | None] = []
         for p in range(n):
             view = ProcessView(p, r, merged[p], states, seq.graphs, memo)
             try:
-                new_state, detected = algorithm.step(states[p][r - 1], view, r)
+                new_state = algorithm.step(states[p][r - 1], view, r)
             except EngineError:
                 raise
             except Exception as exc:  # pragma: no cover - contract breach path
@@ -218,47 +219,14 @@ def run(
                 if not getattr(new_state, "decided", False) or new_state.decision != old.decision:
                     raise EngineError(f"process {p} revoked its decision at round {r}")
             states[p].append(new_state)
-            detected_row.append(detected)
             merged[p][p] = r
         lr = merged
         lastrounds.append(tuple(tuple(row) for row in merged))
-        detected_history.append(tuple(detected_row))
 
     return Execution(
         inputs=tuple(inputs),
         seq=seq,
         states=states,
         lastrounds=lastrounds,
-        detected=detected_history,
         trace_fields=algorithm.trace_fields,
     )
-
-
-def views_equal_until(exec1: Execution, exec2: Execution, p: int, r: int) -> bool:
-    """Is p's full knowledge identical in both executions through round r?
-
-    Compares, per round: p's recorded state, what it knows of everyone
-    (which states, their contents, and the in-edge reports they carry),
-    and its own receive set.
-    """
-    if exec1.n != exec2.n:
-        raise ValueError("executions have different process counts")
-    if r > exec1.rounds or r > exec2.rounds:
-        raise ValueError(f"round {r} not covered by both executions")
-    n = exec1.n
-    for t in range(1, r + 1):
-        if exec1.states[p][t] != exec2.states[p][t]:
-            return False
-        row1 = exec1.lastrounds[t - 1][p]
-        row2 = exec2.lastrounds[t - 1][p]
-        if row1 != row2:
-            return False
-        if exec1.seq.graphs[t - 1].ins[p] != exec2.seq.graphs[t - 1].ins[p]:
-            return False
-        for q in range(n):
-            for s in range(0, row1[q] + 1):
-                if exec1.states[q][s] != exec2.states[q][s]:
-                    return False
-                if s >= 1 and exec1.seq.graphs[s - 1].ins[q] != exec2.seq.graphs[s - 1].ins[q]:
-                    return False
-    return True

@@ -281,10 +281,14 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
     for i, ln in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(ln)
+            if _json_int(obj["round"], "round") != i - 1:
+                raise GraphError(f"round must be {i - 1}, got {obj['round']}")
             edges = [
                 (_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint")) for u, v in obj["edges"]
             ]
             graphs.append(CommGraph(n, edges))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
+        except KeyError as exc:
+            raise GraphError(f"line {i}: missing key {exc}") from exc
+        except (json.JSONDecodeError, TypeError, ValueError, GraphError) as exc:
             raise GraphError(f"line {i}: {exc}") from exc
     return GraphSequence(n, tuple(graphs))

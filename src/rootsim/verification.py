@@ -7,7 +7,7 @@ can be re-derived from the trace it came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .engine import Execution
@@ -37,17 +37,7 @@ class Verdict:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "agreement": self.agreement,
-            "agreement_witness": self.agreement_witness,
-            "validity": self.validity,
-            "validity_witness": self.validity_witness,
-            "termination": self.termination,
-            "undecided": self.undecided,
-            "deadline": self.deadline,
-            "invariant_failures": self.invariant_failures,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
@@ -216,17 +206,17 @@ def check_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
 def check_detection_soundness(exec_: Execution, D: int) -> list[dict[str, Any]]:
     """Every recorded estimate names the true root and rests on known states.
 
-    The trace records, per round r and process p, the estimate of the round
-    r-D graph's root. Whenever it is a set, it must equal the unique root
-    component of that graph and every member's round-(r-D) state must have
-    reached p.
+    Each process's round-r state records, as `detected`, its estimate of
+    the round r-D graph's root. Whenever it is a set, it must equal the
+    unique root component of that graph and every member's round-(r-D)
+    state must have reached p.
     """
     failures = []
     for r in range(1, exec_.rounds + 1):
         s = r - D
         true_root = exec_.seq.roots[s - 1] if s >= 1 else None
         for p in range(exec_.n):
-            est = exec_.detected[r - 1][p]
+            est = exec_.states[p][r].detected
             if est is None:
                 continue
             lastround = exec_.lastrounds[r - 1][p]
@@ -258,7 +248,7 @@ def check_detection_completeness(
         if r > exec_.rounds:
             break
         for p in range(exec_.n):
-            est = exec_.detected[r - 1][p]
+            est = exec_.states[p][r].detected
             if est != root:
                 failures.append({
                     "invariant": "estimate-completeness",

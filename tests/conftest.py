@@ -35,7 +35,7 @@ class Probe:
     def step(self, state, view: engine.ProcessView, r: int):
         if self.hook is not None:
             self.hook(state, view, r)
-        return state, None
+        return state
 
     def trace_fields(self, state):
         return {"pid_input": list(state)}

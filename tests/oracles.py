@@ -3,11 +3,13 @@
 Each one is written without the bit-mask routines of `rootsim.graphs` it
 checks (or, for the propagation property, from `causal_past` alone), and
 is exponential or cubic where the production code is not, so it is only
-usable at small n.
+usable at small n. `views_equal_until` compares what one process knows in
+two executions, state by state and report by report.
 """
 
 from __future__ import annotations
 
+from rootsim.engine import Execution
 from rootsim.graphs import CommGraph, Edge, GraphSequence, causal_past
 
 
@@ -84,4 +86,34 @@ def check_information_propagation(graphs: list[CommGraph], X: set[int]) -> bool:
         )
         if not ok:
             return False
+    return True
+
+
+def views_equal_until(exec1: Execution, exec2: Execution, p: int, r: int) -> bool:
+    """Is p's full knowledge identical in both executions through round r?
+
+    Compares, per round: p's recorded state, what it knows of everyone
+    (which states, their contents, and the in-edge reports they carry),
+    and its own receive set.
+    """
+    if exec1.n != exec2.n:
+        raise ValueError("executions have different process counts")
+    if r > exec1.rounds or r > exec2.rounds:
+        raise ValueError(f"round {r} not covered by both executions")
+    n = exec1.n
+    for t in range(1, r + 1):
+        if exec1.states[p][t] != exec2.states[p][t]:
+            return False
+        row1 = exec1.lastrounds[t - 1][p]
+        row2 = exec2.lastrounds[t - 1][p]
+        if row1 != row2:
+            return False
+        if exec1.seq.graphs[t - 1].ins[p] != exec2.seq.graphs[t - 1].ins[p]:
+            return False
+        for q in range(n):
+            for s in range(0, row1[q] + 1):
+                if exec1.states[q][s] != exec2.states[q][s]:
+                    return False
+                if s >= 1 and exec1.seq.graphs[s - 1].ins[q] != exec2.seq.graphs[s - 1].ins[q]:
+                    return False
     return True

@@ -12,10 +12,10 @@ import pytest
 
 from rootsim import adversary, cli, verification
 from rootsim.algorithms import LockingConsensus
-from rootsim.engine import run, views_equal_until
+from rootsim.engine import run
 from rootsim.graphs import GraphSequence, root_components, single_root
 
-from oracles import check_information_propagation
+from oracles import check_information_propagation, views_equal_until
 
 SWEEP_GRID = [(n, D) for n in range(2, 7) for D in range(1, n)]
 SEEDS = range(200)
@@ -145,8 +145,8 @@ def test_criterion_5_indistinguishability(D):
     # Process index D is the (D+1)-th process of the construction.
     confused_ok = views_equal_until(e1, e2, D, tau)
     head_diverges = not views_equal_until(e1, e2, 0, 2 * D - 1)
-    member1 = adversary.membership_report(seq1, D, 2 * D - 1).member
-    member2 = adversary.membership_report(seq2, D, 2 * D - 1).member
+    member1 = adversary.membership_report(seq1, D, 2 * D - 1)["member"]
+    member2 = adversary.membership_report(seq2, D, 2 * D - 1)["member"]
     ok = confused_ok and head_diverges and member1 and member2
     assert report(
         5,

@@ -117,6 +117,38 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: sequence must be a file name, got {sequence!r}"]
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["--N", "5"], "N"),
+            (["--D", "2"], "D"),
+            (["--x", "3"], "x"),
+            (["--stability-start", "2"], "stability_start"),
+            (["--prune", "max"], "prune"),
+            (["--decide-rule", "sliding"], "decide_rule"),
+            (["--config", "{cfg}"], "adopt_unanimous"),
+        ],
+        ids=["N", "D", "x", "stability_start", "prune", "decide_rule", "config"],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_voting_rejects_locking_settings(self, command, argv, key, tmp_path, capsys):
+        # Each of these used to be ignored by a voting run, which exited 0.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"adopt_unanimous": True, "backoff": False}))
+        argv = [a.format(cfg=cfg) for a in argv]
+        trials = ["--trials", "1"] if command == "sweep" else []
+        assert main([command, "--algorithm", "voting", "--n", "4", *trials, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and repr(key) in err, err
+
+    def test_replay_rejects_stability_start(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(adversary.scenario("chain-a", n=3, D=2, horizon=6), fh)
+        assert main(["run", "--n", "3", "--sequence", str(path), "--stability-start", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "stability_start" in err, err
+
     def test_voting_horizon_equal_to_window_runs(self):
         # The shortest accepted voting horizon is the stable window itself.
         assert main(["run", "--algorithm", "voting", "--n", "4", "--horizon", "9"]) == 0
@@ -214,6 +246,27 @@ class TestValidate:
         assert out == "" and len(err.splitlines()) == 1, err
         assert err.startswith("error: ") and "must be an integer" in err, err
 
+    @pytest.mark.parametrize(
+        "rounds,line,message",
+        [
+            ([{"round": 9, "edges": []}, {"round": 2, "edges": []}], 2, "round must be 1, got 9"),
+            ([{"round": 1, "edges": []}, {"edges": []}], 3, "missing key 'round'"),
+            ([{"round": 1.0, "edges": []}, {"round": 2, "edges": []}], 2, "round must be an integer"),
+            ([{"round": 1, "edges": []}, {"round": "2", "edges": []}], 3, "round must be an integer"),
+            ([{"round": True, "edges": []}, {"round": 2, "edges": []}], 2, "round must be an integer"),
+        ],
+        ids=["wrong", "missing", "float", "string", "bool"],
+    )
+    def test_round_field_must_match_its_line(self, rounds, line, message, tmp_path, capsys):
+        # A misnumbered or unnumbered round used to be read in file order.
+        bad = tmp_path / "bad.jsonl"
+        header = {"n": 2, "rounds": len(rounds)}
+        bad.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rounds]))
+        assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and f"line {line}: {message}" in err, err
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_header_without_processes_exits_two(self, n, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -254,12 +307,28 @@ class TestScenario:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: scenario {argv[0]!r}: needs {flag}"], err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["lossy-link", "--n", "7", "--horizon", "3"], "--n"),
+            (["chain-a", "--n", "4", "--D", "2", "--tau", "5"], "--tau"),
+            (["indist-a", "--n", "12", "--D", "2", "--horizon", "8", "--seed", "1"], "--seed"),
+        ],
+        ids=["lossy-link", "chain-a", "indist-a"],
+    )
+    def test_parameter_the_builder_ignores_names_its_flag(self, argv, flag, capsys):
+        # lossy-link --n 7 used to write an n = 2 file and exit 0.
+        assert main(["scenario", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: scenario {argv[0]!r}: takes no {flag}"], err
+
     def test_bad_params(self):
         assert main(["scenario", "indist-a", "--n", "3", "--D", "2", "--horizon", "8"]) == 2
 
     @pytest.mark.parametrize("name", ["indist-a", "indist-b"])
     def test_indist_diameter_one_exits_two(self, name, capsys):
-        argv = ["scenario", name, "--n", "5", "--D", "1", "--tau", "4", "--horizon", "8"]
+        tau = ["--tau", "4"] if name == "indist-b" else []
+        argv = ["scenario", name, "--n", "5", "--D", "1", *tau, "--horizon", "8"]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err

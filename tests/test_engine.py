@@ -4,10 +4,11 @@ import pytest
 
 from rootsim import adversary
 from rootsim.algorithms import LockingConsensus, VotingConsensus
-from rootsim.engine import NEVER, EngineError, run, views_equal_until
+from rootsim.engine import NEVER, EngineError, run
 from rootsim.graphs import CommGraph, GraphSequence, causal_past, members, star
 
 from conftest import Probe, random_sequence
+from oracles import views_equal_until
 
 
 def g(n, edges):
@@ -189,7 +190,7 @@ class TestContracts:
                 return FlakyState(decided=True, decision=x)
 
             def step(self, state, view, r):
-                return FlakyState(decided=False, decision=None), None
+                return FlakyState(decided=False, decision=None)
 
             def trace_fields(self, state):
                 return {}

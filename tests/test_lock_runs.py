@@ -163,7 +163,7 @@ def test_restepping_an_older_state_leaves_later_queues_unchanged():
     assert len(confirming) > 5
     for r in confirming:
         older = exec_.states[p][r - 1]
-        again, _ = algo.step(older, view_at(exec_, p, r), r)
+        again = algo.step(older, view_at(exec_, p, r), r)
         assert again == exec_.states[p][r]
         assert again.queue.log is not exec_.states[p][r].queue.log
         assert tuple(older.queue.append(10**6)) == queues[r - 1] + (10**6,)

@@ -2,7 +2,7 @@ import pytest
 
 from rootsim import cli, verification
 from rootsim.algorithms import LockingConsensus, LockState
-from rootsim.engine import Execution, run, views_equal_until
+from rootsim.engine import Execution, run
 from rootsim.graphs import CommGraph, GraphSequence, maximal_runs, star
 from rootsim.verification import (
     check_agreement_stability,
@@ -12,7 +12,7 @@ from rootsim.verification import (
 )
 
 from conftest import Probe
-from oracles import brute_force_roots, check_information_propagation
+from oracles import brute_force_roots, check_information_propagation, views_equal_until
 
 
 def g(n, edges):
@@ -32,7 +32,6 @@ def make_exec(inputs, rows):
         seq=seq,
         states=[list(r) for r in rows],
         lastrounds=[tuple((0,) * n for _ in range(n))] * rounds,
-        detected=[tuple(None for _ in range(n))] * rounds,
         trace_fields=lambda s: {"proposal": s.proposal, "decided": s.decided},
     )
 
