@@ -10,7 +10,6 @@ compound-graph voting algorithm.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Any, Callable
 
 from .graphs import (
@@ -86,14 +85,19 @@ def check_star_window(seq: GraphSequence, y: int) -> list[tuple[int, int, frozen
     return [(s, e, root) for (s, e, root) in maximal_runs(broadcast_roots) if e - s + 1 >= y]
 
 
+def stable_window(seq: GraphSequence, x: int) -> tuple[int, int, frozenset[int]] | None:
+    """The first maximal run (start, end, root) of at least x rounds with
+    one root, or None."""
+    return next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
+
+
 def membership_report(seq: GraphSequence, D: int, x: int) -> dict[str, Any]:
     """Run all checkers and collect the results in one JSON object. The
     sequence is a member when it is rooted, has diameter D and has an
     x-round stable window."""
     first_unrooted = next((r for r, root in enumerate(seq.roots, start=1) if root is None), None)
     diam_ok, diam_violation = check_diam(seq, D)
-    windows = maximal_runs(seq.roots)
-    stability_ok = any(e - s + 1 >= x for (s, e, _) in windows)
+    stability_ok = stable_window(seq, x) is not None
     nonsplit_ok, first_split = check_nonsplit(seq)
     return {
         "n": seq.n,
@@ -104,7 +108,7 @@ def membership_report(seq: GraphSequence, D: int, x: int) -> dict[str, Any]:
         "first_unrooted_round": first_unrooted,
         "diam_ok": diam_ok,
         "first_diam_violation": diam_violation,
-        "stability_windows": _windows_json(windows),
+        "stability_windows": _windows_json(maximal_runs(seq.roots)),
         "stability_ok": stability_ok,
         "nonsplit_ok": nonsplit_ok,
         "first_split": list(first_split) if first_split else None,
@@ -119,21 +123,13 @@ def _windows_json(windows: list[tuple[int, int, frozenset[int]]]) -> list[dict[s
 
 def compound_sequence(seq: GraphSequence) -> GraphSequence:
     """Collapse each block of n-1 consecutive rounds into one compound graph.
-
-    A trailing block shorter than n-1 rounds is dropped with a warning.
-    """
+    The sequence must be whole blocks."""
     block = seq.n - 1
     if block < 1:
         raise GraphError("compound sequences need at least two processes")
-    full, rem = divmod(len(seq), block)
-    if rem:
-        warnings.warn(
-            f"dropping {rem} trailing round(s) not filling a block of {block}",
-            stacklevel=2,
-        )
-    graphs = tuple(
-        compound_all(seq.graphs[i * block : (i + 1) * block]) for i in range(full)
-    )
+    if len(seq) % block:
+        raise GraphError(f"{len(seq)} rounds are not whole blocks of {block}")
+    graphs = tuple(compound_all(seq.graphs[i : i + block]) for i in range(0, len(seq), block))
     return GraphSequence(seq.n, graphs)
 
 

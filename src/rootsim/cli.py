@@ -19,7 +19,7 @@ from typing import IO, Any
 
 from . import adversary, engine, verification
 from .algorithms import LockingConsensus, VotingConsensus
-from .graphs import GraphError, GraphSequence, maximal_runs, read_jsonl, write_jsonl
+from .graphs import GraphError, GraphSequence, read_jsonl, write_jsonl
 
 # Decisions of the voting algorithm land this many compound rounds after
 # the second graph of the first broadcast window (observed constant; the
@@ -148,7 +148,7 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
             raise UsageError("stability_start applies to generated sequences, not to a sequence replay")
         seq = _load_sequence(path, n)
         # Find the window on the whole file: the horizon may cut it short.
-        window = next((w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= x), None)
+        window = adversary.stable_window(seq, x)
         seq = GraphSequence(n, seq.graphs[: _horizon(cfg, len(seq))])
     else:
         start = _int(cfg, "stability_start", adversary.window_start(n, x, seed))
@@ -236,6 +236,8 @@ def _write_outputs(args: argparse.Namespace, exec_: engine.Execution, verdict: v
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merge(_load_config(args.config), args)
+    if cfg.get("trials") is not None:
+        raise UsageError("run takes no 'trials': one run is one trial (use sweep)")
     seed = _int(cfg, "seed", 0)
     exec_, verdict = run_once(cfg, seed)
     _write_outputs(args, exec_, verdict)

@@ -12,11 +12,11 @@ entire history, "p knows q's round-s state" is equivalent to
 whole view. Recorded states live in a single shared store indexed by
 (process, round).
 
-The merge of a round is a function of the receive set alone (every
-process hears itself), so it is computed once per distinct in-neighbour
-mask of the round; processes with the same mask each get their own copy.
-Nearly complete graphs, such as the compound graphs of the voting
-algorithm, share a few masks among all processes.
+A round-r row depends only on the receive set (every process hears
+itself): it is the elementwise maximum of the senders' round-(r-1) rows,
+each sender's own entry set to r-1. It is one tuple per distinct
+in-neighbour mask, which every process with that mask reads and the run
+records; the nearly complete compound graphs of voting have few masks.
 
 Facts that depend only on the sequence and on recorded states, not on who
 reads them, are computed once per run in a memo that every view shares.
@@ -63,9 +63,11 @@ class ProcessView:
     known (NEVER if q was never heard of). It is the only knowledge bound:
     q's round-s state is readable iff 0 <= s <= lastround[q]. The owner's
     own entry is r-1, since its round-r state is what the current
-    computation produces, root estimate included. Every state read goes
-    through `state`, which raises EngineError outside the view, or through
-    `newest`, which reads only each process's newest known state.
+    computation produces, root estimate included. The row is an immutable
+    tuple, shared by every process with the same receive set and recorded
+    as Execution.lastrounds. Every state read goes through `state`, which
+    raises EngineError outside the view, or through `newest`, which reads
+    only each process's newest known state.
 
     `memo` is shared by every view of one run. It holds the root estimates
     of detection.estimate_root, keyed (s, mask of the processes whose
@@ -83,7 +85,7 @@ class ProcessView:
         self,
         owner: int,
         r: int,
-        lastround: list[int],
+        lastround: tuple[int, ...],
         states: list[list[Any]],
         graphs: tuple[CommGraph, ...],
         memo: dict[Any, Any],
@@ -131,7 +133,7 @@ class Execution:
     inputs: tuple[int, ...]
     seq: GraphSequence
     states: list[list[Any]]  # states[p][s], s = 0..rounds
-    lastrounds: list[tuple[tuple[int, ...], ...]]  # [r-1][p] post-round vector
+    lastrounds: list[tuple[tuple[int, ...], ...]]  # [r-1][p] round-r view row, own entry r-1
     trace_fields: Callable[[Any], dict[str, Any]]
 
     @property
@@ -176,52 +178,48 @@ def run(
         raise ValueError(f"got {len(inputs)} inputs for {n} processes")
 
     states: list[list[Any]] = [[algorithm.initial_state(p, inputs[p])] for p in range(n)]
-    lr: list[list[int]] = [[NEVER] * n for _ in range(n)]
-    for p in range(n):
-        lr[p][p] = 0
-
     lastrounds: list[tuple[tuple[int, ...], ...]] = []
+    # Before round 1 nobody knows any state, its own included: the merge
+    # sets each sender's own entry.
+    sent = ((NEVER,) * n,) * n
     memo = seeded_memo(seq)
 
-    for r in range(1, len(seq) + 1):
-        ins = seq.graph(r).ins
-
-        # One merge per distinct in-mask, but a list of its own for every
-        # process: merged[p][p] = r below must not reach another view. The
-        # copies are all taken before any process steps.
-        merged: list[list[int]] = []
-        rows: dict[int, list[int]] = {}
-        for p in range(n):
-            mask = ins[p]
-            row = rows.get(mask)
-            if row is not None:
-                merged.append(row[:])
+    for r, graph in enumerate(seq.graphs, start=1):
+        newest = r - 1  # one int object for every entry it fills this round
+        rows: dict[int, tuple[int, ...]] = {}
+        for mask in graph.ins:
+            if mask in rows:
                 continue
+            # No sent row holds a round past r-2, so a sender's own entry
+            # can be set as soon as its row is merged.
             senders = members(mask)
-            row = rows[mask] = lr[next(senders)][:]
+            q = next(senders)
+            row = list(sent[q])
+            row[q] = newest
             for q in senders:
-                other = lr[q]
+                other = sent[q]
                 for i in range(n):
                     if other[i] > row[i]:
                         row[i] = other[i]
-            merged.append(row)
+                row[q] = newest
+            rows[mask] = tuple(row)
+        views = tuple([rows[mask] for mask in graph.ins])
 
         for p in range(n):
-            view = ProcessView(p, r, merged[p], states, seq.graphs, memo)
+            view = ProcessView(p, r, views[p], states, seq.graphs, memo)
+            old = states[p][newest]
             try:
-                new_state = algorithm.step(states[p][r - 1], view, r)
+                new_state = algorithm.step(old, view, r)
             except EngineError:
                 raise
             except Exception as exc:  # pragma: no cover - contract breach path
                 raise EngineError(f"algorithm failed at round {r}, process {p}: {exc}") from exc
-            old = states[p][r - 1]
             if getattr(old, "decided", False):
                 if not getattr(new_state, "decided", False) or new_state.decision != old.decision:
                     raise EngineError(f"process {p} revoked its decision at round {r}")
             states[p].append(new_state)
-            merged[p][p] = r
-        lr = merged
-        lastrounds.append(tuple(tuple(row) for row in merged))
+        lastrounds.append(views)
+        sent = views
 
     return Execution(
         inputs=tuple(inputs),

@@ -262,16 +262,34 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
+def _json_object(line: str, *keys: str) -> dict[str, object]:
+    """The JSON object on `line`; it must hold every one of `keys`."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise GraphError(f"must be a JSON object with {' and '.join(map(repr, keys))}")
+    for key in keys:
+        if key not in obj:
+            raise GraphError(f"missing key {key!r}")
+    return obj
+
+
+def _edge(value: object) -> Edge:
+    """`value` as an edge: it must be a pair of JSON integers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise GraphError(f"each edge must be a pair of integers, got {value!r}")
+    return _json_int(value[0], "edge endpoint"), _json_int(value[1], "edge endpoint")
+
+
 def read_jsonl(fh: IO[str]) -> GraphSequence:
     """Parse the write_jsonl format; raises GraphError with a line number."""
     lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     if not lines:
         raise GraphError("line 1: empty sequence file")
     try:
-        header = json.loads(lines[0])
+        header = _json_object(lines[0], "n", "rounds")
         n = _json_int(header["n"], "n")
         rounds = _json_int(header["rounds"], "rounds")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise GraphError(f"line 1: bad header ({exc})") from exc
     if n < 1:
         raise GraphError(f"line 1: need at least one process, got n={n}")
@@ -280,15 +298,13 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
     graphs = []
     for i, ln in enumerate(lines[1:], start=2):
         try:
-            obj = json.loads(ln)
+            obj = _json_object(ln, "round", "edges")
             if _json_int(obj["round"], "round") != i - 1:
                 raise GraphError(f"round must be {i - 1}, got {obj['round']}")
-            edges = [
-                (_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint")) for u, v in obj["edges"]
-            ]
-            graphs.append(CommGraph(n, edges))
-        except KeyError as exc:
-            raise GraphError(f"line {i}: missing key {exc}") from exc
-        except (json.JSONDecodeError, TypeError, ValueError, GraphError) as exc:
+            edges = obj["edges"]
+            if not isinstance(edges, list):
+                raise GraphError(f"edges must be a list of integer pairs, got {edges!r}")
+            graphs.append(CommGraph(n, map(_edge, edges)))
+        except ValueError as exc:
             raise GraphError(f"line {i}: {exc}") from exc
     return GraphSequence(n, tuple(graphs))

@@ -220,7 +220,7 @@ def check_detection_soundness(exec_: Execution, D: int) -> list[dict[str, Any]]:
             if est is None:
                 continue
             lastround = exec_.lastrounds[r - 1][p]
-            known = all(q == p or lastround[q] >= s for q in est)
+            known = all(lastround[q] >= s for q in est)
             if est != true_root or not known:
                 failures.append({
                     "invariant": "estimate-soundness",

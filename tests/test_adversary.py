@@ -14,10 +14,12 @@ from rootsim.adversary import (
     generate_stable,
     membership_report,
     scenario,
+    stable_window,
     window_start,
 )
 from rootsim.graphs import (
     CommGraph,
+    GraphError,
     GraphSequence,
     causal_past,
     compound,
@@ -52,6 +54,16 @@ class TestCheckers:
     def test_stability_alternating_has_no_window(self):
         seq = GraphSequence(3, (star(0, 3), star(1, 3)) * 3)
         assert all(e - s + 1 < 2 for (s, e, _) in maximal_runs(seq.roots))
+        assert stable_window(seq, 2) is None
+
+    def test_stable_window_is_the_first_long_enough_run_whole(self):
+        # Runs {0} 1..2, {1} 3..5, unrooted 6, {0} 7..10.
+        graphs = (star(0, 3),) * 2 + (star(1, 3),) * 3 + (g(3, []),) + (star(0, 3),) * 4
+        seq = GraphSequence(3, graphs)
+        assert stable_window(seq, 1) == (1, 2, frozenset({0}))
+        assert stable_window(seq, 3) == (3, 5, frozenset({1}))
+        assert stable_window(seq, 4) == (7, 10, frozenset({0}))
+        assert stable_window(seq, 5) is None
 
     def test_diam_max_diameter_always_ok(self):
         rng = random.Random(2)
@@ -122,10 +134,10 @@ class TestCompoundSequence:
             assert windows, seed
 
     def test_remainder_dropped(self):
+        # A trailing part block is the caller's to trim.
         seq = GraphSequence(3, (star(0, 3),) * 5)
-        with pytest.warns(UserWarning):
-            out = compound_sequence(seq)
-        assert len(out) == 2
+        with pytest.raises(GraphError, match="5 rounds are not whole blocks of 2"):
+            compound_sequence(seq)
 
 
 class TestGenerateStable:
@@ -142,8 +154,7 @@ class TestGenerateStable:
 
     def test_designated_window_is_first(self):
         seq, (a, b, root) = stable(4, 2, 3, 60, 9)
-        runs = [w for w in maximal_runs(seq.roots) if w[1] - w[0] + 1 >= 3]
-        assert runs[0] == (a, b, root)
+        assert stable_window(seq, 3) == (a, b, root)
         # No earlier run reaches length x.
         for (s, e, _) in maximal_runs(seq.roots):
             assert e - s + 1 < 3 or s >= a

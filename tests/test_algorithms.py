@@ -1,9 +1,9 @@
 import pytest
 
-from rootsim import cli, verification
+from rootsim import adversary, cli, verification
 from rootsim.algorithms import LockingConsensus, LockState, VotingConsensus, value_of_root
 from rootsim.engine import run
-from rootsim.graphs import CommGraph, GraphSequence, maximal_runs, star
+from rootsim.graphs import CommGraph, GraphSequence, star
 
 from conftest import sink_mutation_sequence
 
@@ -45,7 +45,7 @@ class TestLockingBasics:
         exec_, verdict = cli.run_once(cfg, seed=3)
         assert verdict.ok
         # Recover the designated window from the sequence itself.
-        window = next(w for w in maximal_runs(exec_.seq.roots) if w[1] - w[0] + 1 >= 3)
+        window = adversary.stable_window(exec_.seq, 3)
         a, b, root = window
         v = max(exec_.states[q][a].proposal for q in root)
         for p in range(4):

@@ -141,6 +141,14 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and repr(key) in err, err
 
+    def test_run_rejects_trials(self, tmp_path, capsys):
+        # A run config's trials used to be ignored: one run, exit 0.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3, "trials": 50}))
+        assert main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "'trials'" in err, err
+
     def test_replay_rejects_stability_start(self, tmp_path, capsys):
         path = tmp_path / "s.jsonl"
         with open(path, "w") as fh:
@@ -266,6 +274,27 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, err
         assert err.startswith("error: ") and f"line {line}: {message}" in err, err
+
+    @pytest.mark.parametrize(
+        "header,body,message",
+        [
+            ({"n": 2, "rounds": 1}, [1, 2], "line 2: must be a JSON object with 'round' and 'edges'"),
+            ([2, 1], {"round": 1, "edges": []},
+             "line 1: bad header (must be a JSON object with 'n' and 'rounds')"),
+            ({"n": 3, "rounds": 1}, {"round": 1, "edges": [[0, 1, 2]]},
+             "line 2: each edge must be a pair of integers, got [0, 1, 2]"),
+            ({"n": 2, "rounds": 1}, {"round": 1, "edges": 5},
+             "line 2: edges must be a list of integer pairs, got 5"),
+        ],
+        ids=["round_line_list", "header_list", "edge_triple", "edges_int"],
+    )
+    def test_line_of_the_wrong_shape_exits_two(self, header, body, message, tmp_path, capsys):
+        # Each of these used to pass Python's own message through.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(header) + "\n" + json.dumps(body) + "\n")
+        assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: cannot load sequence: parse error: {message}"], err
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_header_without_processes_exits_two(self, n, tmp_path, capsys):

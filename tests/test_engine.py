@@ -20,9 +20,10 @@ def complete(n):
 
 
 def assert_knowledge_equals_causal_past(seq):
-    """After round r, p knows q's round-s state iff q is in p's causal past
-    from round s: the independent graph-level oracle. Each state is unique
-    to its (pid, round), so knowledge tracking cannot alias."""
+    """At its round-r computation, p knows q's round-s state iff s < r and q
+    is in p's causal past from round s: the independent graph-level oracle.
+    Each state is unique to its (pid, round), so knowledge tracking cannot
+    alias."""
     n = seq.n
     exec_ = run(Probe(), list(range(n)), seq)
     for r in range(1, len(seq) + 1):
@@ -32,7 +33,7 @@ def assert_knowledge_equals_causal_past(seq):
                 lr = vec[p][q]
                 for s in range(0, r + 1):
                     knows = s <= lr
-                    assert knows == (q in causal_past(seq, p, s, r)), (p, q, s, r)
+                    assert knows == (s < r and q in causal_past(seq, p, s, r)), (p, q, s, r)
 
 
 class TestFullInformation:
@@ -48,7 +49,7 @@ class TestFullInformation:
     @pytest.mark.parametrize("kind", ["complete", "stars", "complete_and_empty", "voting"])
     def test_knowledge_equals_causal_past_on_repeated_masks(self, kind):
         # Rounds in which several processes share one receive set, so the
-        # engine merges that set once and hands out copies.
+        # engine merges that set once and they all read the same row.
         n = 5
         if kind == "voting":
             seqs = [
@@ -89,12 +90,40 @@ class TestFullInformation:
 
     def test_never_connected_sentinel(self):
         # With no edges at all, nobody ever learns anything about anyone
-        # else, not even initial states: the sentinel stays NEVER.
+        # else, not even initial states: the sentinel stays NEVER. The
+        # round-4 row's own entry is 3, the state the round-4 step read.
         seq = GraphSequence(3, (g(3, []),) * 4)
         exec_ = run(Probe(), [0, 1, 2], seq)
         for p in range(3):
             for q in range(3):
-                assert exec_.lastrounds[-1][p][q] == (4 if p == q else NEVER)
+                assert exec_.lastrounds[-1][p][q] == (3 if p == q else NEVER)
+
+    def test_views_with_one_receive_set_share_the_recorded_row(self):
+        # Round 1 gives everyone the receive set {0, 1, 2}, round 2 gives
+        # everyone their own; each view reads the very tuple that the run
+        # records for it.
+        n = 3
+        seen = {}
+
+        def hook(state, view, r):
+            seen[view.owner, r] = view.lastround
+
+        exec_ = run(Probe(hook), list(range(n)), GraphSequence(n, (complete(n), g(n, []))))
+        for (p, r), row in seen.items():
+            assert type(row) is tuple and row is exec_.lastrounds[r - 1][p]
+        assert seen[0, 1] is seen[1, 1] is seen[2, 1]
+        assert seen[0, 2] is not seen[1, 2] and seen[1, 2] is not seen[2, 2]
+
+    def test_a_view_cannot_widen_its_own_knowledge(self):
+        # Process 1 never hears of 0. Writing a round into its row and then
+        # reading 0's state there would read a state it never heard of.
+        def hook(state, view, r):
+            if view.owner == 1 and r == 2:
+                view.lastround[0] = 1
+                view.state(0, 1)
+
+        with pytest.raises(EngineError):
+            run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),) * 2))
 
 
 class TestLastHeard:

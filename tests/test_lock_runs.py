@@ -78,9 +78,7 @@ def key(st):
 
 def view_at(exec_, p, r):
     """p's view at the start of its round-r computation."""
-    lastround = list(exec_.lastrounds[r - 1][p])
-    lastround[p] = r - 1
-    return ProcessView(p, r, lastround, exec_.states, exec_.seq.graphs, {})
+    return ProcessView(p, r, exec_.lastrounds[r - 1][p], exec_.states, exec_.seq.graphs, {})
 
 
 # The default configuration and each knob flipped on its own.

@@ -1,9 +1,9 @@
 import pytest
 
-from rootsim import cli, verification
+from rootsim import adversary, cli, verification
 from rootsim.algorithms import LockingConsensus, LockState
 from rootsim.engine import Execution, run
-from rootsim.graphs import CommGraph, GraphSequence, maximal_runs, star
+from rootsim.graphs import CommGraph, GraphSequence, star
 from rootsim.verification import (
     check_agreement_stability,
     check_consensus,
@@ -122,7 +122,7 @@ class TestPostWindowLock:
         # Some process holds, at the window end b, the lock it took at
         # round a+D without b confirming it: anchored at b, the invariant
         # would fail on these runs.
-        _, b, _ = next(w for w in maximal_runs(exec_.seq.roots) if w[1] - w[0] >= D + 1)
+        _, b, _ = adversary.stable_window(exec_.seq, D + 2)
         assert any(
             exec_.states[p][b].lockround != b and b not in exec_.states[p][b].queue
             for p in range(n)
