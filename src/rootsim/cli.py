@@ -46,9 +46,9 @@ def _load_config(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
@@ -61,9 +61,9 @@ def _load_config(path: str | None) -> dict[str, Any]:
 def _load_sequence(path: str, n: int | None = None) -> GraphSequence:
     """The sequence stored at `path`; with `n`, it must have n processes."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             seq = read_jsonl(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot load sequence: {exc}") from exc
     except GraphError as exc:
         raise UsageError(f"cannot load sequence: parse error: {exc}") from exc

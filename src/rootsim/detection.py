@@ -8,25 +8,24 @@ strongly connected set is a root component by definition. On sequences
 where every graph is rooted this set is unique, which makes the estimate
 sound; completeness after a long-enough stable window follows because the
 window pushes every root member's round-s state to everyone.
+
+The estimate needs no search of the reports. Call a set fully known when
+the view has every member's round-s report. A fully known closed,
+strongly connected set of the report graph is closed and strongly
+connected in the true graph, since its members' reports are their true
+in-neighbourhoods, so it is a true root component of the round; and a
+true root component is such a set as soon as every member's report is
+known. So the estimate is the one root component of the round-s graph
+that is fully known, and None if none or several are, and it is read off
+the sequence's root components of that round (GraphSequence.root_sets).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
-
-from .graphs import GraphSequence, members, root_masks
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .engine import ProcessView
-
-
-def seeded_memo(seq: GraphSequence) -> dict[Any, Any]:
-    """A run's estimate memo before its first round: for every round s, the
-    entry of a view that knows all round-s reports. Such a view knows the
-    whole round-s graph, so its estimate is that graph's single root, which
-    `seq.roots` already holds."""
-    everyone = (1 << seq.n) - 1
-    return {(s, everyone): root for s, root in enumerate(seq.roots, start=1)}
 
 
 def estimate_root(view: ProcessView, s: int) -> frozenset[int] | None:
@@ -34,30 +33,24 @@ def estimate_root(view: ProcessView, s: int) -> frozenset[int] | None:
 
     Returns a set R iff exactly one set exists whose members' round-s
     receive reports are all known, all contained in R, and strongly
-    connected under the reported edges. Results are memoized in the run's
-    shared `view.memo`, which `seeded_memo` fills for full knowledge.
+    connected under the reported edges: the one root component of the
+    round whose members' reports are all known.
     """
     if s > view.round:
         raise ValueError(f"cannot estimate round {s} from round {view.round}")
     if s < 1:
         raise ValueError(f"round index must be >= 1, got {s}")
     # A round-s report is known iff its sender's round-s state is; the
-    # owner also knows its own current one. Reports are true
-    # in-neighborhoods, identical for every reader, so the result depends
-    # only on s and on whose reports are known.
-    known = 1 << view.owner
-    for q, last in enumerate(view.lastround):
-        if last >= s:
-            known |= 1 << q
-    key = (s, known)
-    if key in view.memo:
-        return view.memo[key]
-
-    # Root components of the report graph, where a process with an unknown
-    # report hears nobody: it is a singleton root of its own, and any
-    # process that reports hearing it lies in no fully-reported root.
-    ins = [view.in_report_mask(q, s) or 1 << q for q in range(view.n)]
-    candidates = [m for m in root_masks(ins) if not m & ~known]
-    result = frozenset(members(candidates[0])) if len(candidates) == 1 else None
-    view.memo[key] = result
-    return result
+    # owner also knows its own current one.
+    lastround = view.lastround
+    owner = view.owner
+    found = None
+    for root in view._root_sets[s - 1]:
+        for q in root:
+            if lastround[q] < s and q != owner:
+                break
+        else:
+            if found is not None:
+                return None
+            found = root
+    return found

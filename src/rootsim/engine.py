@@ -19,10 +19,11 @@ in-neighbour mask, which every process with that mask reads and the run
 records; the nearly complete compound graphs of voting have few masks.
 
 Facts that depend only on the sequence and on recorded states, not on who
-reads them, are computed once per run in a memo that every view shares.
-It starts with each round's root for views that know every report of
-that round (detection.seeded_memo); root estimates for partial knowledge
-and lock candidates are added as they are first needed.
+reads them, are computed once per sequence or once per run. Each round's
+root components are computed once per sequence (GraphSequence.root_sets),
+and detection.estimate_root reads its estimates off them. LockingConsensus's
+lock candidates are computed when first needed, in a memo that every view
+of a run shares.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol
 
-from .detection import seeded_memo
-from .graphs import CommGraph, GraphSequence, members
+from .graphs import GraphSequence, members
 
 NEVER = -1
 
@@ -69,17 +69,19 @@ class ProcessView:
     raises EngineError outside the view, or through `newest`, which reads
     only each process's newest known state.
 
-    `memo` is shared by every view of one run. It holds the root estimates
-    of detection.estimate_root, keyed (s, mask of the processes whose
-    round-s reports are known) and seeded with the full-knowledge entry of
-    every round, and LockingConsensus's lock candidates, keyed (s, root)
-    with a frozenset root, so the two kinds of key never meet. An entry is
-    a function of its key alone, and a view reads only the entries whose
-    key its own knowledge yields, so a cached entry tells a view nothing it
-    could not compute from what it knows.
+    Rebinding `lastround`, `owner` or `round` would widen the view. The
+    engine raises EngineError after a step that leaves any of them rebound;
+    it does not see a step that rebinds one and restores it before
+    returning, nor a step that reads `_states` directly.
+
+    `memo` is shared by every view of one run. It holds LockingConsensus's
+    lock candidates, keyed (s, root). An entry is a function of its key
+    alone, and a view reads only the entries whose key its own knowledge
+    yields, so a cached entry tells a view nothing it could not compute
+    from what it knows.
     """
 
-    __slots__ = ("owner", "round", "n", "lastround", "_states", "_graphs", "memo")
+    __slots__ = ("owner", "round", "n", "lastround", "_states", "_graphs", "_root_sets", "memo")
 
     def __init__(
         self,
@@ -87,7 +89,7 @@ class ProcessView:
         r: int,
         lastround: tuple[int, ...],
         states: list[list[Any]],
-        graphs: tuple[CommGraph, ...],
+        seq: GraphSequence,
         memo: dict[Any, Any],
     ):
         self.owner = owner
@@ -95,7 +97,8 @@ class ProcessView:
         self.n = len(lastround)
         self.lastround = lastround
         self._states = states
-        self._graphs = graphs  # graphs[s-1] is the round-s graph
+        self._graphs = seq.graphs  # graphs[s-1] is the round-s graph
+        self._root_sets = seq.root_sets  # root_sets[s-1]: its root components
         self.memo = memo
 
     def state(self, q: int, s: int) -> Any:
@@ -182,7 +185,7 @@ def run(
     # Before round 1 nobody knows any state, its own included: the merge
     # sets each sender's own entry.
     sent = ((NEVER,) * n,) * n
-    memo = seeded_memo(seq)
+    memo: dict[Any, Any] = {}
 
     for r, graph in enumerate(seq.graphs, start=1):
         newest = r - 1  # one int object for every entry it fills this round
@@ -206,7 +209,8 @@ def run(
         views = tuple([rows[mask] for mask in graph.ins])
 
         for p in range(n):
-            view = ProcessView(p, r, views[p], states, seq.graphs, memo)
+            row = views[p]
+            view = ProcessView(p, r, row, states, seq, memo)
             old = states[p][newest]
             try:
                 new_state = algorithm.step(old, view, r)
@@ -214,6 +218,8 @@ def run(
                 raise
             except Exception as exc:  # pragma: no cover - contract breach path
                 raise EngineError(f"algorithm failed at round {r}, process {p}: {exc}") from exc
+            if view.lastround is not row or view.owner != p or view.round != r:
+                raise EngineError(f"process {p} rebound its view at round {r}")
             if getattr(old, "decided", False):
                 if not getattr(new_state, "decided", False) or new_state.decision != old.decision:
                     raise EngineError(f"process {p} revoked its decision at round {r}")

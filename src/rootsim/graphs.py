@@ -205,9 +205,15 @@ class GraphSequence:
         return range(1, len(self.graphs) + 1)
 
     @cached_property
+    def root_sets(self) -> tuple[frozenset[frozenset[int]], ...]:
+        """root_sets[r-1] holds every root component of the round-r graph,
+        built on first use."""
+        return tuple(root_components(g) for g in self.graphs)
+
+    @cached_property
     def roots(self) -> tuple[frozenset[int] | None, ...]:
-        """roots[r-1] is single_root of the round-r graph, built on first use."""
-        return tuple(single_root(g) for g in self.graphs)
+        """roots[r-1] is single_root of the round-r graph, read off root_sets."""
+        return tuple(next(iter(rs)) if len(rs) == 1 else None for rs in self.root_sets)
 
 
 def maximal_runs(keys: Iterable[K | None]) -> list[tuple[int, int, K]]:

@@ -104,6 +104,15 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        # Used to end in a UnicodeDecodeError traceback.
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"n": 3\xff}\n')
+        assert main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot read config {path}: ") and "can't decode byte 0xff" in err, err
+
     @pytest.mark.parametrize("algorithm", ["locking", "voting"])
     @pytest.mark.parametrize(
         "sequence", [0, 987654, 1.5, ["seq.jsonl"]], ids=["zero", "fd", "float", "list"]
@@ -295,6 +304,15 @@ class TestValidate:
         assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: cannot load sequence: parse error: {message}"], err
+
+    def test_sequence_not_utf8_exits_two(self, tmp_path, capsys):
+        # Used to end in a UnicodeDecodeError traceback.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"n": 2, "rounds": 1}\n{"round": 1, "edges": []}\xff\n')
+        assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: cannot load sequence: ") and "can't decode byte 0xff" in err, err
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_header_without_processes_exits_two(self, n, tmp_path, capsys):

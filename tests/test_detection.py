@@ -5,7 +5,7 @@ import pytest
 from rootsim.detection import estimate_root
 from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, members, single_root, star
-from rootsim.adversary import generate_rooted, generate_stable, window_start
+from rootsim.adversary import compound_sequence, generate_rooted, generate_stable, window_start
 from conftest import Probe, random_sequence
 from oracles import brute_force_roots
 
@@ -51,6 +51,18 @@ class TestExamples:
         g2 = g(3, [(0, 2), (0, 1), (1, 0)])
         est = collect_estimates(GraphSequence(3, (g1, g2)))
         assert est[(2, 1, 2)] is None
+
+    def test_unrooted_round_known_component(self):
+        # Round 1 has the two roots {0} and {1}. Process 0 knows its own
+        # report, which makes {0} fully known; process 2 knows neither
+        # root's report. In round 2 everyone hears everyone, and then
+        # both roots are fully known, so nobody can single one out.
+        complete = g(3, [(u, v) for u in range(3) for v in range(3) if u != v])
+        est = collect_estimates(GraphSequence(3, (g(3, [(0, 2), (1, 2)]), complete)))
+        assert est[(0, 1, 1)] == frozenset({0})
+        assert est[(1, 1, 1)] == frozenset({1})
+        assert est[(2, 1, 1)] is None
+        assert [est[(p, 1, 2)] for p in range(3)] == [None] * 3
 
     def test_bad_round_arguments(self):
         def hook(state, view, r):
@@ -156,9 +168,9 @@ def estimate_mismatches(seq, fully_known=None):
 
 class TestMemo:
     def test_memoized_estimates_match_unmemoized(self):
-        # The run's shared memo serves every view whose known reports match;
-        # on multi-root sequences a wrong key would hand one view another's
-        # answer.
+        # On multi-root sequences a view must single out the one root
+        # component whose reports it knows, or answer None if it knows
+        # several.
         for seed in range(10):
             rng = random.Random(1000 + seed)
             assert not estimate_mismatches(random_sequence(rng, 4, 6, density=0.15)), seed
@@ -170,13 +182,33 @@ class TestMemo:
             assert not estimate_mismatches(random_sequence(rng, 8, 5, density=0.12)), seed
 
     def test_full_knowledge_entries_match_unmemoized(self):
-        # The memo starts with every round's root for views that know all of
-        # that round's reports, None for an unrooted round: here round 2 is
-        # edgeless and round 3 has the two roots {0} and {1}. The complete
-        # round 5 shows everyone every report of rounds 1..4.
+        # A view that knows all of a round's reports gets that round's
+        # root, or None for a round with several: here round 2 is edgeless
+        # and round 3 has the two roots {0} and {1}. The complete round 5
+        # shows everyone every report of rounds 1..4.
         complete = g(3, [(u, v) for u in range(3) for v in range(3) if u != v])
         seq = GraphSequence(3, (complete, g(3, []), g(3, [(0, 2), (1, 2)]), star(0, 3), complete, complete))
         assert seq.roots == (frozenset({0, 1, 2}), None, None, frozenset({0}), frozenset({0, 1, 2}), frozenset({0, 1, 2}))
         fully_known = set()
         assert not estimate_mismatches(seq, fully_known)
         assert fully_known == {1, 2, 3, 4, 5}
+
+    def test_estimates_match_unmemoized_on_rooted_sequences(self):
+        # Estimates are read off the sequence's root components rather
+        # than searched, so the oracle must also see the sequences the
+        # algorithms run on: stable windows at every (n, D), plain rooted
+        # sequences, and the compound graphs of voting.
+        for n in range(2, 7):
+            for D in range(1, n):
+                x = D + 1
+                for seed in range(3):
+                    start = window_start(n, x, seed)
+                    seq, _ = generate_stable(n, D, x, start, start + x + 2, seed)
+                    assert not estimate_mismatches(seq), (n, D, seed)
+        for seed in range(4):
+            n = 3 + seed
+            rooted = generate_rooted(n, 14, seed)
+            assert not estimate_mismatches(rooted), seed
+            blocks = generate_rooted(n, 6 * (n - 1), seed, stable_len=n - 1)
+            assert not estimate_mismatches(compound_sequence(blocks)), seed
+

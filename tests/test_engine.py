@@ -125,6 +125,33 @@ class TestFullInformation:
         with pytest.raises(EngineError):
             run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),) * 2))
 
+    @pytest.mark.parametrize(
+        "attr,value,read,unheard",
+        [
+            # 0's round-1 state (pid 0, input 0).
+            ("lastround", (1, 1), lambda view: view.state(0, 1), (0, 0)),
+            # 0's round-2 receive set: itself alone.
+            ("owner", 0, lambda view: view.in_report_mask(0, 2), 0b01),
+            # 1's own round-3 receive set: itself alone.
+            ("round", 3, lambda view: view.in_report_mask(1, 3), 0b10),
+        ],
+        ids=["lastround", "owner", "round"],
+    )
+    def test_a_view_cannot_rebind_its_knowledge(self, attr, value, read, unheard):
+        # Process 1 never hears of 0, and at round 2 knows nothing of round
+        # 3. Each rebinding lets the step read what it never heard of; the
+        # engine must not accept the state that step returns.
+        read_back = []
+
+        def hook(state, view, r):
+            if view.owner == 1 and r == 2:
+                setattr(view, attr, value)
+                read_back.append(read(view))
+
+        with pytest.raises(EngineError, match="rebound its view"):
+            run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),) * 3))
+        assert read_back == [unheard]
+
 
 class TestLastHeard:
     def test_single_late_edge(self):

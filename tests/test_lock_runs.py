@@ -78,7 +78,7 @@ def key(st):
 
 def view_at(exec_, p, r):
     """p's view at the start of its round-r computation."""
-    return ProcessView(p, r, exec_.lastrounds[r - 1][p], exec_.states, exec_.seq.graphs, {})
+    return ProcessView(p, r, exec_.lastrounds[r - 1][p], exec_.states, exec_.seq, {})
 
 
 # The default configuration and each knob flipped on its own.
