@@ -20,7 +20,6 @@ from typing import Any, Iterator, NamedTuple
 
 from .detection import estimate_root
 from .engine import ProcessView
-from .graphs import members
 
 
 class LockQueue:
@@ -224,12 +223,11 @@ class LockingConsensus:
         if root is not None:
             # Every member's round-(r-D) report, which the estimate needed,
             # travels in its round-(r-D) state, so this view can read them
-            # all; the maximum is the same for every view, and the run's
-            # memo keeps it once per (round, root).
-            key = (r - D, root)
-            candidate = view.memo.get(key)
+            # all; the maximum is the same for every view, and the round's
+            # memo keeps it once per root.
+            candidate = view.memo.get(root)
             if candidate is None:
-                candidate = view.memo[key] = max(view.state(q, r - D).proposal for q in root)
+                candidate = view.memo[root] = max(view.state(q, r - D).proposal for q in root)
             adopt = not locked
             if not adopt and candidate != proposal:
                 # Count the distinct detectable root components between the
@@ -321,10 +319,9 @@ class VotingConsensus:
 
     def step(self, state: VoteState, view: ProcessView, r: int) -> VoteState:
         proposal, vote, decided, decision, _ = state
-        messages = {}
-        for q in members(view.in_report_mask(view.owner, r)):
-            st = view.state(q, r - 1)
-            messages[q] = (st.vote, st.proposal)
+        # The round-r senders are the processes whose newest known state is
+        # their round-(r-1) one.
+        messages = {q: (st.vote, st.proposal) for q, _, st in view.newest(r - 1)}
         prev_root = estimate_root(view, r - 1) if r >= 2 else None
 
         votes = {m for (m, _) in messages.values()}

@@ -1,23 +1,19 @@
 """An under-approximating root-component estimator over process views.
 
-A process that has collected the round-s receive reports of a set R which
-is (a) closed (no member reports an in-neighbor outside R) and (b) strongly
-connected under those reported edges has genuinely found a root component
-of the round-s graph: reports are true in-neighborhoods, so a closed
-strongly connected set is a root component by definition. On sequences
-where every graph is rooted this set is unique, which makes the estimate
-sound; completeness after a long-enough stable window follows because the
-window pushes every root member's round-s state to everyone.
-
-The estimate needs no search of the reports. Call a set fully known when
-the view has every member's round-s report. A fully known closed,
-strongly connected set of the report graph is closed and strongly
-connected in the true graph, since its members' reports are their true
-in-neighbourhoods, so it is a true root component of the round; and a
-true root component is such a set as soon as every member's report is
-known. So the estimate is the one root component of the round-s graph
-that is fully known, and None if none or several are, and it is read off
-the sequence's root components of that round (GraphSequence.root_sets).
+A process knows q's round-s receive report once it knows q's round-s
+state, which carries it; the owner also knows its own current one. Call a
+set of processes fully known when every member's round-s report is known.
+Reports are true in-neighbourhoods, so a fully known set that is closed
+(no member reports an in-neighbour outside it) and strongly connected
+under the reported edges is a true root component of the round-s graph,
+and a true root component is such a set as soon as it is fully known. The
+estimate is therefore the one root component of the round that is fully
+known, and None if none or several are; it is read off the sequence's
+root components (GraphSequence.root_sets) with no search of the reports.
+So the estimate is sound on every round: it is a true root component
+whose members' states the process knows, the round's root on a rooted
+round. A long-enough stable window makes it complete, because the window
+pushes every root member's round-s state to everyone.
 """
 
 from __future__ import annotations

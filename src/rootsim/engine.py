@@ -18,12 +18,12 @@ each sender's own entry set to r-1. It is one tuple per distinct
 in-neighbour mask, which every process with that mask reads and the run
 records; the nearly complete compound graphs of voting have few masks.
 
-Facts that depend only on the sequence and on recorded states, not on who
-reads them, are computed once per sequence or once per run. Each round's
-root components are computed once per sequence (GraphSequence.root_sets),
-and detection.estimate_root reads its estimates off them. LockingConsensus's
-lock candidates are computed when first needed, in a memo that every view
-of a run shares.
+Each round's root components are computed once per sequence
+(GraphSequence.root_sets), and detection.estimate_root reads its
+estimates off them. LockingConsensus's lock candidates are computed when
+first needed, in a memo that the round's views share and the next round
+drops: the engine carries nothing from one round to the next but the
+rows.
 """
 
 from __future__ import annotations
@@ -57,13 +57,15 @@ class Algorithm(Protocol):
 
 
 class ProcessView:
-    """One process's knowledge at the start of its round-r computation.
+    """One process's knowledge at the start of its round-r computation:
+    its causal past, as one row.
 
     `lastround[q]` is the newest round s such that q's round-s state is
     known (NEVER if q was never heard of). It is the only knowledge bound:
     q's round-s state is readable iff 0 <= s <= lastround[q]. The owner's
     own entry is r-1, since its round-r state is what the current
-    computation produces, root estimate included. The row is an immutable
+    computation produces, root estimate included, and the round-r senders
+    are exactly the processes whose entry is r-1. The row is an immutable
     tuple, shared by every process with the same receive set and recorded
     as Execution.lastrounds. Every state read goes through `state`, which
     raises EngineError outside the view, or through `newest`, which reads
@@ -74,14 +76,15 @@ class ProcessView:
     it does not see a step that rebinds one and restores it before
     returning, nor a step that reads `_states` directly.
 
-    `memo` is shared by every view of one run. It holds LockingConsensus's
-    lock candidates, keyed (s, root). An entry is a function of its key
-    alone, and a view reads only the entries whose key its own knowledge
-    yields, so a cached entry tells a view nothing it could not compute
-    from what it knows.
+    `memo` is shared by the views of one round and dropped after it.
+    LockingConsensus keeps its round-(r-D) lock candidates there, keyed by
+    root. An entry is a function of its key and the round alone, and a
+    view reads only the entries whose key its own knowledge yields, so a
+    cached entry tells a view nothing it could not compute from what it
+    knows.
     """
 
-    __slots__ = ("owner", "round", "n", "lastround", "_states", "_graphs", "_root_sets", "memo")
+    __slots__ = ("owner", "round", "lastround", "_states", "_root_sets", "memo")
 
     def __init__(
         self,
@@ -94,11 +97,9 @@ class ProcessView:
     ):
         self.owner = owner
         self.round = r
-        self.n = len(lastround)
         self.lastround = lastround
         self._states = states
-        self._graphs = seq.graphs  # graphs[s-1] is the round-s graph
-        self._root_sets = seq.root_sets  # root_sets[s-1]: its root components
+        self._root_sets = seq.root_sets  # root_sets[s-1]: the round-s root components
         self.memo = memo
 
     def state(self, q: int, s: int) -> Any:
@@ -110,22 +111,12 @@ class ProcessView:
 
     def newest(self, lo: int) -> list[tuple[int, int, Any]]:
         """(q, s, q's round-s state) for every q whose newest known round s
-        is at least lo >= 0; each such read lies inside the view."""
+        is at least lo >= 0, in increasing q; each such read lies inside
+        the view. newest(r-1) yields the round-r senders."""
         if lo < 0:
             raise ValueError(f"need lo >= 0, got {lo}")
         states = self._states
         return [(q, s, states[q][s]) for q, s in enumerate(self.lastround) if s >= lo]
-
-    def in_report_mask(self, q: int, s: int) -> int | None:
-        """IN_q of round s as reported by q itself, as an in-neighbour bit
-        mask, or None if unknown.
-
-        A round-s report travels inside q's round-s state; additionally the
-        owner knows its own current receive set before computing.
-        """
-        if 1 <= s <= (self.round if q == self.owner else self.lastround[q]):
-            return self._graphs[s - 1].ins[q]
-        return None
 
 
 @dataclass
@@ -185,7 +176,6 @@ def run(
     # Before round 1 nobody knows any state, its own included: the merge
     # sets each sender's own entry.
     sent = ((NEVER,) * n,) * n
-    memo: dict[Any, Any] = {}
 
     for r, graph in enumerate(seq.graphs, start=1):
         newest = r - 1  # one int object for every entry it fills this round
@@ -208,6 +198,7 @@ def run(
             rows[mask] = tuple(row)
         views = tuple([rows[mask] for mask in graph.ins])
 
+        memo: dict[Any, Any] = {}
         for p in range(n):
             row = views[p]
             view = ProcessView(p, r, row, states, seq, memo)

@@ -204,24 +204,27 @@ def check_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
 
 
 def check_detection_soundness(exec_: Execution, D: int) -> list[dict[str, Any]]:
-    """Every recorded estimate names the true root and rests on known states.
+    """Every recorded estimate names a true root component and rests on
+    known states.
 
     Each process's round-r state records, as `detected`, its estimate of
-    the round r-D graph's root. Whenever it is a set, it must equal the
-    unique root component of that graph and every member's round-(r-D)
-    state must have reached p.
+    the round r-D graph's root. Whenever it is a set, it must be a root
+    component of that graph (the unique one on a rooted round) and every
+    member's round-(r-D) state must have reached p.
     """
     failures = []
+    seq = exec_.seq
     for r in range(1, exec_.rounds + 1):
         s = r - D
-        true_root = exec_.seq.roots[s - 1] if s >= 1 else None
+        root_sets = seq.root_sets[s - 1] if s >= 1 else ()
+        true_root = seq.roots[s - 1] if s >= 1 else None
         for p in range(exec_.n):
             est = exec_.states[p][r].detected
             if est is None:
                 continue
             lastround = exec_.lastrounds[r - 1][p]
             known = all(lastround[q] >= s for q in est)
-            if est != true_root or not known:
+            if est not in root_sets or not known:
                 failures.append({
                     "invariant": "estimate-soundness",
                     "round": r,

@@ -27,6 +27,10 @@ from rootsim.graphs import (
     single_root,
     star,
 )
+from rootsim.algorithms import LockingConsensus
+from rootsim.engine import run
+
+from oracles import views_equal_until
 
 
 def g(n, edges):
@@ -236,6 +240,27 @@ class TestScenarios:
         ):
             report = membership_report(scenario(name, **params), D, x)
             assert report["member"], (name, report)
+
+    @pytest.mark.parametrize("D,n,tau", [
+        (D, n, tau)
+        for D in range(2, 5)
+        for n in (D + 3, 12)
+        for tau in (2 * D, 2 * D + 1, 2 * D + 4, 3 * D + 3)
+    ])
+    def test_indist_pair_over_the_grid(self, D, n, tau):
+        # Criterion 5's checks away from its own cells: process D cannot
+        # tell the two runs apart through tau, process 0 can by 2D-1, and
+        # the final star window of 2D rounds makes both members at x = 2D-1.
+        horizon = tau + 2 * D
+        seq1 = scenario("indist-a", n=n, D=D, horizon=horizon)
+        seq2 = scenario("indist-b", n=n, D=D, tau=tau, horizon=horizon)
+        inputs = [p % 2 for p in range(n)]
+        e1 = run(LockingConsensus(N=n, D=D), inputs, seq1)
+        e2 = run(LockingConsensus(N=n, D=D), inputs, seq2)
+        assert views_equal_until(e1, e2, D, tau)
+        assert not views_equal_until(e1, e2, 0, 2 * D - 1)
+        assert membership_report(seq1, D, 2 * D - 1)["member"]
+        assert membership_report(seq2, D, 2 * D - 1)["member"]
 
     def test_indist_a_needs_room(self):
         with pytest.raises(ValueError):

@@ -141,11 +141,21 @@ class TestMonotonicity:
                             known = cur
 
 
-def unmemoized_estimate(view, s):
+def known_report(view, seq, q, s):
+    """q's round-s receive report as an in-neighbour mask, or None if the
+    view does not know it. The report travels in q's round-s state, and
+    the owner also knows its own current one."""
+    if 1 <= s <= (view.round if q == view.owner else view.lastround[q]):
+        return seq.graphs[s - 1].ins[q]
+    return None
+
+
+def unmemoized_estimate(view, seq, s):
     """The estimate by exhaustive search: the unique closed, strongly
     connected set of processes whose round-s reports the view can read."""
-    known = {q for q in range(view.n) if view.in_report_mask(q, s) is not None}
-    reported = CommGraph(view.n, {(u, q) for q in known for u in members(view.in_report_mask(q, s))})
+    reports = {q: known_report(view, seq, q, s) for q in range(seq.n)}
+    known = {q for q, mask in reports.items() if mask is not None}
+    reported = CommGraph(seq.n, {(u, q) for q in known for u in members(reports[q])})
     found = [R for R in brute_force_roots(reported) if R <= known]
     return found[0] if len(found) == 1 else None
 
@@ -157,9 +167,9 @@ def estimate_mismatches(seq, fully_known=None):
 
     def hook(state, view, r):
         for s in range(1, r + 1):
-            if estimate_root(view, s) != unmemoized_estimate(view, s):
+            if estimate_root(view, s) != unmemoized_estimate(view, seq, s):
                 mismatches.append((view.owner, s, r))
-            if fully_known is not None and all(view.in_report_mask(q, s) is not None for q in range(view.n)):
+            if fully_known is not None and all(known_report(view, seq, q, s) is not None for q in range(seq.n)):
                 fully_known.add(s)
 
     run(Probe(hook), list(range(seq.n)), seq)

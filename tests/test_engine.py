@@ -4,6 +4,7 @@ import pytest
 
 from rootsim import adversary
 from rootsim.algorithms import LockingConsensus, VotingConsensus
+from rootsim.detection import estimate_root
 from rootsim.engine import NEVER, EngineError, run
 from rootsim.graphs import CommGraph, GraphSequence, causal_past, members, star
 
@@ -130,10 +131,10 @@ class TestFullInformation:
         [
             # 0's round-1 state (pid 0, input 0).
             ("lastround", (1, 1), lambda view: view.state(0, 1), (0, 0)),
-            # 0's round-2 receive set: itself alone.
-            ("owner", 0, lambda view: view.in_report_mask(0, 2), 0b01),
-            # 1's own round-3 receive set: itself alone.
-            ("round", 3, lambda view: view.in_report_mask(1, 3), 0b10),
+            # Round 2's root {0}, fully known only to its owner 0.
+            ("owner", 0, lambda view: estimate_root(view, 2), frozenset({0})),
+            # Round 3's root {1}: a round that 1 has not reached.
+            ("round", 3, lambda view: estimate_root(view, 3), frozenset({1})),
         ],
         ids=["lastround", "owner", "round"],
     )
@@ -170,16 +171,32 @@ class TestLastHeard:
 
     def test_owner_hears_itself_in_round_one(self):
         # Before its first computation a process knows its own initial
-        # state and its own round-1 receive report, and nothing of others.
+        # state, so it is its own only round-1 sender, and nothing of others.
         captured = {}
 
         def hook(state, view, r):
             if view.owner == 0 and r == 1:
                 captured["lastround"] = list(view.lastround)
-                captured["report"] = view.in_report_mask(0, 1)
+                captured["senders"] = [(q, s) for q, s, _ in view.newest(0)]
 
         run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),)))
-        assert captured == {"lastround": [0, NEVER], "report": 1}
+        assert captured == {"lastround": [0, NEVER], "senders": [(0, 0)]}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_newest_previous_round_states_are_the_senders(self, seed):
+        # The round-r senders are exactly the processes whose newest known
+        # state is their round-(r-1) one: no merged entry passes r-2.
+        rng = random.Random(300 + seed)
+        seq = random_sequence(rng, rng.randint(2, 7), 10, density=rng.choice([0.15, 0.4, 0.8]))
+        seen = {}
+
+        def hook(state, view, r):
+            seen[view.owner, r] = [q for q, _, _ in view.newest(r - 1)]
+
+        run(Probe(hook), list(range(seq.n)), seq)
+        assert len(seen) == seq.n * len(seq)
+        for (p, r), senders in seen.items():
+            assert senders == list(members(seq.graphs[r - 1].ins[p])), (p, r)
 
     @pytest.mark.parametrize("algorithm", ["locking", "voting", "probe"])
     def test_owner_entry_is_previous_round(self, algorithm):
@@ -274,14 +291,19 @@ class TestContracts:
         run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),) * 3))
         assert results == {1: 0, 2: 1, 3: 2}
 
-    def test_in_report_star_round(self):
-        reports = {}
+    def test_memo_lasts_one_round(self):
+        # Every view of a round shares one memo, which starts empty: a
+        # value written in round r is gone in round r+1.
+        memos = {}
+        found = []
 
         def hook(state, view, r):
-            if r == 2:
-                reports[view.owner] = frozenset(members(view.in_report_mask(0, 1)))
+            memos.setdefault(r, view.memo)
+            assert view.memo is memos[r]
+            if view.owner == 0:
+                found.append(dict(view.memo))
+            view.memo[view.owner] = r
 
-        run(Probe(hook), [0, 1, 2], GraphSequence(3, (star(0, 3),) * 2))
-        # Everyone received 0's round-1 state in round 2, which carries 0's
-        # round-1 receive report: just itself.
-        assert reports == {0: frozenset({0}), 1: frozenset({0}), 2: frozenset({0})}
+        run(Probe(hook), [0, 1, 2], GraphSequence(3, (complete(3),) * 4))
+        assert found == [{}] * 4
+        assert [memos[r] for r in range(1, 5)] == [{0: r, 1: r, 2: r} for r in range(1, 5)]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from rootsim import adversary, cli, verification
@@ -7,6 +9,7 @@ from rootsim.graphs import CommGraph, GraphSequence, star
 from rootsim.verification import (
     check_agreement_stability,
     check_consensus,
+    check_detection_soundness,
     check_post_window_lock,
     track_v_locked_windows,
 )
@@ -112,6 +115,36 @@ class TestAgreementStability:
         ]
         failures = check_agreement_stability(make_exec([1, 2], rows))
         assert failures and failures[0]["process"] == 1
+
+
+class TestDetectionSoundness:
+    def test_estimates_on_rounds_with_several_roots_pass(self, tmp_path):
+        # Every round of an edgeless replay has the roots {0} and {1}, and
+        # each process detects its own: a true root component whose member's
+        # state it knows, although the round has no single root.
+        path = tmp_path / "edgeless.jsonl"
+        lines = [{"n": 2, "rounds": 6}] + [{"round": r, "edges": []} for r in range(1, 7)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        exec_, verdict = cli.run_once({"algorithm": "locking", "n": 2, "D": 1, "x": 1, "sequence": str(path)}, 0)
+        assert [exec_.states[p][6].detected for p in range(2)] == [frozenset({0}), frozenset({1})]
+        assert not [f for f in verdict.invariant_failures if f["invariant"] == "estimate-soundness"]
+
+    def test_estimate_that_is_no_root_component_reported(self):
+        # Round 3 has the roots {0} and {1}, and the complete round 4 shows
+        # both processes both round-3 states: {0, 1} is fully known, but it
+        # is no root component of round 3.
+        complete = g(2, [(0, 1), (1, 0)])
+        exec_ = run(LockingConsensus(N=2, D=1), [0, 1], GraphSequence(2, (complete, complete, g(2, []), complete)))
+        assert not check_detection_soundness(exec_, 1)
+        exec_.states[0][4] = exec_.states[0][4]._replace(detected=frozenset({0, 1}))
+        assert check_detection_soundness(exec_, 1) == [{
+            "invariant": "estimate-soundness",
+            "round": 4,
+            "process": 0,
+            "estimate": [0, 1],
+            "true_root": None,
+            "members_known": True,
+        }]
 
 
 class TestPostWindowLock:
