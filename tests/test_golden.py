@@ -89,3 +89,18 @@ def test_validate_output_bytes(seq, D, x, code, digest, tmp_path, capsys):
         write_jsonl(seq, fh)
     assert cli.main(["validate", str(path), "--D", str(D), "--x", str(x)]) == code
     assert sha(capsys.readouterr().out) == digest
+
+
+def test_voting_verdict_bytes(tmp_path):
+    # Twelve edgeless rounds at n = 3 compound into six split rounds. Each
+    # process hears only itself and decides its own input, so the verdict
+    # carries an agreement witness and the compound-nonsplit failure.
+    path = tmp_path / "edgeless.jsonl"
+    with open(path, "w") as fh:
+        write_jsonl(GraphSequence(3, (CommGraph(3, []),) * 12), fh)
+    cfg = {"algorithm": "voting", "n": 3, "sequence": str(path), "inputs": [0, 1, 1]}
+    _, verdict = cli.run_once(cfg, 0)
+    assert verdict.agreement_witness is not None
+    assert verdict.invariant_failures == [{"invariant": "compound-nonsplit", "violation": [1, 0, 1]}]
+    text = json.dumps(verdict.to_json(), indent=2)
+    assert sha(text) == "d481ebcce03a3eec1aefc03b3c239a92163e00873fe94a806618ead8f65985bf"
