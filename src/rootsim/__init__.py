@@ -7,7 +7,6 @@ from .graphs import (
     causal_past,
     compound,
     root_components,
-    single_root,
     star,
 )
 
@@ -18,7 +17,6 @@ __all__ = [
     "causal_past",
     "compound",
     "root_components",
-    "single_root",
     "star",
 ]
 

@@ -412,25 +412,6 @@ def scenario_indist_b(n: int, D: int, tau: int, horizon: int) -> GraphSequence:
     return GraphSequence(n, tuple(graphs))
 
 
-def _chain_gadget(n: int, D: int, variant: str) -> CommGraph:
-    """The four single-graph gadgets used by the decision-deadline scenarios."""
-    if D < 1 or n < D + 1:
-        raise ValueError(f"need n >= D+1, got n={n}, D={D}")
-    if variant == "a":
-        edges = _chain(0, D)
-    elif variant == "b":
-        edges = _chain(0, D) | {(1, 0)}
-    elif variant == "c":
-        edges = {(0, 1), (1, 0), (0, 2)} | _chain(2, D)
-    elif variant == "d":
-        edges = {(1, 0), (0, 2)} | _chain(2, D)
-    else:
-        raise ValueError(f"unknown chain variant {variant!r}")
-    if D == 1 and variant in ("c", "d"):
-        raise ValueError(f"chain-{variant} needs D >= 2")
-    return CommGraph(n, _with_undepicted(n, range(D + 1), set(edges)))
-
-
 def scenario_lossy_link(horizon: int, seed: int) -> GraphSequence:
     """Two processes; each round exactly one direction gets through."""
     rng = random.Random(seed)
@@ -441,17 +422,9 @@ def scenario_lossy_link(horizon: int, seed: int) -> GraphSequence:
     return GraphSequence(2, graphs)
 
 
-def _gadget_scenario(variant: str) -> Callable[[dict[str, Any]], GraphSequence]:
-    def build(p: dict[str, Any]) -> GraphSequence:
-        g = _chain_gadget(p["n"], p["D"], variant)
-        return GraphSequence(g.n, (g,) * p.get("horizon", 1))
-
-    return build
-
-
 # Scenario name -> (builder from the parameter dict, required parameters,
 # optional parameters). Each parameter name is also the name of its
-# `rootsim scenario` flag.
+# `rootsim scenario` flag. Every scenario requires a horizon.
 Builder = Callable[[dict[str, Any]], GraphSequence]
 SCENARIOS: dict[str, tuple[Builder, tuple[str, ...], tuple[str, ...]]] = {
     "indist-a": (lambda p: scenario_indist_a(p["n"], p["D"], p["horizon"]), ("n", "D", "horizon"), ()),
@@ -460,7 +433,6 @@ SCENARIOS: dict[str, tuple[Builder, tuple[str, ...], tuple[str, ...]]] = {
         ("n", "D", "tau", "horizon"),
         (),
     ),
-    **{f"chain-{v}": (_gadget_scenario(v), ("n", "D"), ("horizon",)) for v in "abcd"},
     "lossy-link": (lambda p: scenario_lossy_link(p["horizon"], p.get("seed", 0)), ("horizon",), ("seed",)),
 }
 SCENARIO_NAMES = tuple(SCENARIOS)
@@ -477,6 +449,6 @@ def scenario(name: str, **params: Any) -> GraphSequence:
     extra = [f"--{key}" for key in params if key not in required and key not in optional]
     if extra:
         raise ValueError(f"takes no {' or '.join(extra)}")
-    if params.get("horizon", 1) < 1:
+    if params["horizon"] < 1:
         raise ValueError(f"the horizon must be >= 1, got {params['horizon']}")
     return build(params)

@@ -280,23 +280,19 @@ class LockingConsensus:
         return LockState(proposal, locked, lockround, queue, decided, decision, since, root)
 
 
-def value_of_root(
-    root: frozenset[int], messages: dict[int, tuple[int | None, int]]
-) -> int | None:
+def value_of_root(root: frozenset[int], messages: dict[int, tuple[int | None, int]]) -> int:
     """The value a detected root dictates: a member's pending vote if any
-    member has one, else the maximum proposal among received members.
+    member has one, else the maximum proposal among the members.
 
-    Returns None when no root member's message was received (out of
-    contract; callers fall through to the non-root rules).
+    Every member's message was received: the root of round r-1 is
+    detected only from its members' round-(r-1) states, which are exactly
+    the round-r messages.
     """
-    received = [q for q in sorted(root) if q in messages]
-    if not received:
-        return None
-    for q in received:
+    for q in sorted(root):
         vote = messages[q][0]
         if vote is not None:
             return vote
-    return max(messages[q][1] for q in received)
+    return max(messages[q][1] for q in root)
 
 
 class VotingConsensus:
@@ -335,8 +331,7 @@ class VotingConsensus:
 
         if prev_root is not None:
             dictated = value_of_root(prev_root, messages)
-            if dictated is not None:
-                return VoteState(dictated, dictated, decided, decision, prev_root)
+            return VoteState(dictated, dictated, decided, decision, prev_root)
 
         pending = [m for (m, _) in messages.values() if m is not None]
         if pending:

@@ -21,12 +21,6 @@ from . import adversary, engine, verification
 from .algorithms import LockingConsensus, VotingConsensus
 from .graphs import GraphError, GraphSequence, read_jsonl, write_jsonl
 
-# Decisions of the voting algorithm land this many compound rounds after
-# the second graph of the first broadcast window (observed constant; the
-# second graph delivers the root's states, the round after spreads the
-# unanimous vote).
-VOTING_DECISION_OFFSET = 1
-
 # Config fields that the `run` and `sweep` flags override.
 RUN_KEYS = ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
             "prune", "decide_rule", "stability_start"]
@@ -157,19 +151,8 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
             seq, window = adversary.generate_stable(n, D, x, start, horizon, seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    inputs = _resolve_inputs(cfg, n, seed)
-    exec_ = engine.run(algo, inputs, seq)
-    deadline = window[1] + algo.decide_span if window else exec_.rounds
-    verdict = verification.check_consensus(exec_, deadline)
-    verdict.invariant_failures.extend(verification.check_detection_soundness(exec_, D))
-    if window:
-        verdict.invariant_failures.extend(
-            verification.check_detection_completeness(exec_, window, D)
-        )
-        verdict.invariant_failures.extend(verification.check_post_window_lock(exec_, window, D))
-    verdict.invariant_failures.extend(verification.check_locked_root_convergence(exec_, D, N))
-    verdict.invariant_failures.extend(verification.check_agreement_stability(exec_))
-    return exec_, verdict
+    exec_ = engine.run(algo, _resolve_inputs(cfg, n, seed), seq)
+    return exec_, verification.locking_verdict(exec_, algo, window)
 
 
 def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verification.Verdict]:
@@ -195,17 +178,8 @@ def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verif
         horizon -= horizon % (n - 1)
         base = adversary.generate_rooted(n, horizon, seed, stable_len=stable_len)
     compound = adversary.compound_sequence(base)
-    inputs = _resolve_inputs(cfg, n, seed)
-    exec_ = engine.run(VotingConsensus(), inputs, compound)
-    stars = adversary.check_star_window(compound, 2)
-    deadline = stars[0][0] + 1 + VOTING_DECISION_OFFSET if stars else exec_.rounds
-    verdict = verification.check_consensus(exec_, deadline)
-    nonsplit_ok, split = adversary.check_nonsplit(compound)
-    if not nonsplit_ok:
-        verdict.invariant_failures.append(
-            {"invariant": "compound-nonsplit", "violation": list(split or ())}
-        )
-    return exec_, verdict
+    exec_ = engine.run(VotingConsensus(), _resolve_inputs(cfg, n, seed), compound)
+    return exec_, verification.voting_verdict(exec_)
 
 
 def run_once(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verification.Verdict]:

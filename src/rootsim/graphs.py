@@ -125,14 +125,6 @@ def root_components(g: CommGraph) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(members(m)) for m in root_masks(g.ins))
 
 
-def single_root(g: CommGraph) -> frozenset[int] | None:
-    """The unique root component of g, or None if g is not rooted."""
-    roots = root_components(g)
-    if len(roots) == 1:
-        return next(iter(roots))
-    return None
-
-
 def compound(g1: CommGraph, g2: CommGraph) -> CommGraph:
     """Two-hop composition g1 then g2, with self-loops on both inputs.
 
@@ -212,7 +204,8 @@ class GraphSequence:
 
     @cached_property
     def roots(self) -> tuple[frozenset[int] | None, ...]:
-        """roots[r-1] is single_root of the round-r graph, read off root_sets."""
+        """roots[r-1] is the unique root component of the round-r graph, or
+        None if it is not rooted, read off root_sets."""
         return tuple(next(iter(rs)) if len(rs) == 1 else None for rs in self.root_sets)
 
 

@@ -2,16 +2,27 @@
 
 All checks run on immutable traces so the engine stays algorithm-agnostic.
 Failures carry replayable witnesses (rounds, processes, values) so a report
-can be re-derived from the trace it came from.
+can be re-derived from the trace it came from. `locking_verdict` and
+`voting_verdict` gather each algorithm's checks into its one verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from . import adversary
 from .engine import Execution
 from .graphs import maximal_runs
+
+if TYPE_CHECKING:
+    from .algorithms import LockingConsensus
+
+# Decisions of the voting algorithm land this many compound rounds after
+# the second graph of the first broadcast window (observed constant; the
+# second graph delivers the root's states, the round after spreads the
+# unanimous vote).
+VOTING_DECISION_OFFSET = 1
 
 
 @dataclass
@@ -262,3 +273,46 @@ def check_detection_completeness(
                     "expected": sorted(root),
                 })
     return failures
+
+
+def locking_verdict(
+    exec_: Execution, algo: LockingConsensus, window: tuple[int, int, frozenset[int]] | None
+) -> Verdict:
+    """Every check on a run of `algo`, whose sequence has the stable window
+    `window` (None if it has none).
+
+    Consensus is due by the window's end plus the decide span, or by the
+    run's last round without a window. The invariants: every estimate is
+    sound, locked roots converge, proposals agree after the first
+    decision, and with a window, estimates are complete and everyone
+    holds the post-window lock.
+    """
+    D = algo.D
+    deadline = window[1] + algo.decide_span if window else exec_.rounds
+    verdict = check_consensus(exec_, deadline)
+    failures = verdict.invariant_failures
+    failures.extend(check_detection_soundness(exec_, D))
+    if window:
+        failures.extend(check_detection_completeness(exec_, window, D))
+        failures.extend(check_post_window_lock(exec_, window, D))
+    failures.extend(check_locked_root_convergence(exec_, D, algo.N))
+    failures.extend(check_agreement_stability(exec_))
+    return verdict
+
+
+def voting_verdict(exec_: Execution) -> Verdict:
+    """Every check on a voting run over a compound sequence.
+
+    Consensus is due VOTING_DECISION_OFFSET rounds after the second graph
+    of the first two-round broadcast window, or by the run's last round
+    without one, and every compound round must be non-split.
+    """
+    stars = adversary.check_star_window(exec_.seq, 2)
+    deadline = stars[0][0] + 1 + VOTING_DECISION_OFFSET if stars else exec_.rounds
+    verdict = check_consensus(exec_, deadline)
+    nonsplit_ok, split = adversary.check_nonsplit(exec_.seq)
+    if not nonsplit_ok:
+        verdict.invariant_failures.append(
+            {"invariant": "compound-nonsplit", "violation": list(split)}
+        )
+    return verdict

@@ -24,7 +24,6 @@ from rootsim.graphs import (
     causal_past,
     compound,
     maximal_runs,
-    single_root,
     star,
 )
 from rootsim.algorithms import LockingConsensus
@@ -86,7 +85,7 @@ class TestCheckers:
         # 1: the one-round window fails the D=1 causal-past requirement.
         graph = g(3, [(0, 1), (1, 2)])
         seq = GraphSequence(3, (graph,))
-        assert single_root(graph) == frozenset({0})
+        assert seq.roots == (frozenset({0}),)
         ok, violation = check_diam(seq, 1)
         assert not ok
         assert 0 not in causal_past(
@@ -167,16 +166,16 @@ class TestGenerateStable:
         seq, (a, b, root) = stable(5, 2, 3, 70, 4)
         for r in range(1, len(seq) + 1):
             if not (a <= r <= b):
-                assert single_root(seq.graph(r)) != root
+                assert seq.roots[r - 1] != root
 
     def test_round_one_root_is_detectable_anchor(self):
         # Round 1 has a singleton root that also sits in round 2's root and
         # broadcasts there, making round 1's root universally detectable.
         seq, _ = stable(5, 3, 4, 80, 11)
-        r1_root = single_root(seq.graph(1))
+        r1_root = seq.roots[0]
         assert len(r1_root) == 1
         (anchor,) = r1_root
-        assert anchor in single_root(seq.graph(2))
+        assert anchor in seq.roots[1]
         g2 = seq.graph(2)
         assert all((anchor, v) in g2.edges for v in range(5) if v != anchor)
 
@@ -222,7 +221,7 @@ class TestScenarios:
         seq = scenario("indist-a", n=n, D=D, horizon=10)
         assert None not in seq.roots
         # Process 0 heads the chain in the early rounds.
-        assert single_root(seq.graph(1)) == frozenset({0})
+        assert seq.roots[0] == frozenset({0})
 
     def test_indist_b_has_stable_suffix(self):
         D, n, tau = 2, 12, 6
@@ -279,12 +278,6 @@ class TestScenarios:
         # diameter property they are meant to satisfy.
         with pytest.raises(ValueError, match="D >= 2"):
             scenario(name, **params)
-
-    def test_chain_gadgets(self):
-        ga = scenario("chain-a", n=6, D=3, horizon=1).graph(1)
-        assert single_root(ga) == frozenset({0})
-        gb = scenario("chain-b", n=6, D=3, horizon=1).graph(1)
-        assert single_root(gb) == frozenset({0, 1})
 
     def test_lossy_link(self):
         seq = scenario("lossy-link", horizon=50, seed=3)

@@ -118,9 +118,6 @@ class TestValueOfRoot:
     def test_singleton(self):
         assert value_of_root(frozenset({0}), {0: (None, 2)}) == 2
 
-    def test_no_member_received(self):
-        assert value_of_root(frozenset({0}), {1: (4, 4)}) is None
-
 
 class TestVoting:
     def test_broadcast_star_decides(self):

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from rootsim import adversary, cli, graphs
+from rootsim import adversary, cli, graphs, verification
 from rootsim.cli import main
-from rootsim.graphs import read_jsonl, write_jsonl
+from rootsim.graphs import GraphSequence, read_jsonl, star, write_jsonl
+
+# A short replay file's content: six rounds of a star centred on process 0.
+STAR_SEQ = GraphSequence(3, (star(0, 3),) * 6)
 
 
 class TestRun:
@@ -68,11 +71,9 @@ class TestBadInput:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_replay_rejects_zero_horizon(self, tmp_path, capsys):
-        from rootsim.graphs import write_jsonl
-
         path = tmp_path / "s.jsonl"
         with open(path, "w") as fh:
-            write_jsonl(adversary.scenario("chain-a", n=3, D=2, horizon=6), fh)
+            write_jsonl(STAR_SEQ, fh)
         assert main(["run", "--n", "3", "--sequence", str(path), "--horizon", "0"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
@@ -161,7 +162,7 @@ class TestBadInput:
     def test_replay_rejects_stability_start(self, tmp_path, capsys):
         path = tmp_path / "s.jsonl"
         with open(path, "w") as fh:
-            write_jsonl(adversary.scenario("chain-a", n=3, D=2, horizon=6), fh)
+            write_jsonl(STAR_SEQ, fh)
         assert main(["run", "--n", "3", "--sequence", str(path), "--stability-start", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "stability_start" in err, err
@@ -326,7 +327,7 @@ class TestValidate:
     def test_bound_below_one_exits_two(self, D, x, tmp_path, capsys):
         path = tmp_path / "seq.jsonl"
         with open(path, "w") as fh:
-            write_jsonl(adversary.scenario("chain-a", n=3, D=2, horizon=6), fh)
+            write_jsonl(STAR_SEQ, fh)
         assert main(["validate", str(path), "--D", str(D), "--x", str(x)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
@@ -358,10 +359,9 @@ class TestScenario:
         "argv,flag",
         [
             (["lossy-link", "--n", "7", "--horizon", "3"], "--n"),
-            (["chain-a", "--n", "4", "--D", "2", "--tau", "5"], "--tau"),
             (["indist-a", "--n", "12", "--D", "2", "--horizon", "8", "--seed", "1"], "--seed"),
         ],
-        ids=["lossy-link", "chain-a", "indist-a"],
+        ids=["lossy-link", "indist-a"],
     )
     def test_parameter_the_builder_ignores_names_its_flag(self, argv, flag, capsys):
         # lossy-link --n 7 used to write an n = 2 file and exit 0.
@@ -385,7 +385,6 @@ class TestScenario:
         [
             ["lossy-link", "--horizon", "-3"],
             ["lossy-link", "--horizon", "0"],
-            ["chain-a", "--n", "4", "--D", "2", "--horizon", "0"],
         ],
     )
     def test_horizon_below_one_exits_two(self, argv, capsys):
@@ -534,7 +533,7 @@ class TestDerivedConstants:
                     r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decided
                 )
                 offsets.append(first - second_graph)
-        assert max(offsets) == cli.VOTING_DECISION_OFFSET
+        assert max(offsets) == verification.VOTING_DECISION_OFFSET
 
 
 def test_run_once_computes_each_round_root_once(monkeypatch):

@@ -14,12 +14,16 @@ from rootsim.graphs import (
     members,
     read_jsonl,
     root_components,
-    single_root,
     star,
     write_jsonl,
 )
 from conftest import random_graph, random_sequence
 from oracles import brute_force_roots, compound_edges
+
+
+def root_of(graph):
+    """The graph's one root component, or None, as a sequence reads it."""
+    return GraphSequence(graph.n, (graph,)).roots[0]
 
 
 def g(n, edges):
@@ -74,18 +78,18 @@ class TestRootComponents:
         assert roots == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_is_rooted_star(self):
-        assert single_root(star(0, 4)) is not None
+        assert root_of(star(0, 4)) is not None
 
     def test_is_rooted_edgeless_false(self):
-        assert single_root(g(3, [])) is None
+        assert root_of(g(3, [])) is None
 
     def test_two_member_root(self):
         # 0 <-> 1 cycle feeding a chain: single root {0, 1}.
         graph = g(4, [(0, 1), (1, 0), (1, 2), (2, 3)])
-        assert single_root(graph) == frozenset({0, 1})
+        assert root_of(graph) == frozenset({0, 1})
 
     def test_single_root_none_when_split(self):
-        assert single_root(g(2, [])) is None
+        assert root_of(g(2, [])) is None
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_against_brute_force_enumeration(self, n):

@@ -1,6 +1,8 @@
 """LockingConsensus under every knob: its traces, each state's run start, the
 walk over recent states against slice scans of the state rows, and the lock
-queues as windows on one log per process."""
+queues as windows on one log per process. An audit replays every step of
+the shipped algorithms' runs through views that record the states they
+serve."""
 
 import hashlib
 import itertools
@@ -8,8 +10,8 @@ import random
 
 import pytest
 
-from rootsim import adversary
-from rootsim.algorithms import LockingConsensus, LockQueue, scan_recent
+from rootsim import adversary, cli
+from rootsim.algorithms import LockingConsensus, LockQueue, VotingConsensus, scan_recent
 from rootsim.engine import ProcessView, run
 
 from conftest import sink_mutation_sequence
@@ -61,12 +63,14 @@ KNOB_DIGESTS = {
 }
 
 
+KNOB_CASES = [stable_case(3, 1, 1), stable_case(4, 2, 2), stable_case(5, 4, 0), sink_case()]
+
+
 def test_traces_under_every_knob_combination():
-    cases = [stable_case(3, 1, 1), stable_case(4, 2, 2), stable_case(5, 4, 0), sink_case()]
     got = {}
     for knobs in KNOBS:
         h = hashlib.sha256()
-        for n, D, seq, inputs in cases:
+        for n, D, seq, inputs in KNOB_CASES:
             h.update(run(locking(n, D, knobs), inputs, seq).trace_hash().encode())
         got[knobs] = h.hexdigest()[:16]
     assert got == KNOB_DIGESTS
@@ -76,9 +80,10 @@ def key(st):
     return st.proposal if st.locked else None
 
 
-def view_at(exec_, p, r):
-    """p's view at the start of its round-r computation."""
-    return ProcessView(p, r, exec_.lastrounds[r - 1][p], exec_.states, exec_.seq, {})
+def view_at(exec_, p, r, states=None):
+    """p's view at the start of its round-r computation, with an empty
+    memo; `states` serves the states in place of the run's store."""
+    return ProcessView(p, r, exec_.lastrounds[r - 1][p], exec_.states if states is None else states, exec_.seq, {})
 
 
 # The default configuration and each knob flipped on its own.
@@ -191,3 +196,61 @@ def test_queue_window_acts_as_its_tuple():
         for i in (len(t), -len(t) - 1):
             with pytest.raises(IndexError):
                 q[i]
+
+
+class RecordedRow:
+    """One process's state row that records every (q, s) read from it."""
+
+    def __init__(self, row, q, reads):
+        self.row, self.q, self.reads = row, q, reads
+
+    def __getitem__(self, s):
+        self.reads.append((self.q, s))
+        return self.row[s]
+
+
+def audit(algo, exec_):
+    """Step every (p, r) of exec_ again through a view whose store records
+    each state read and whose memo starts empty. Returns the (p, r) whose
+    step gave another state than the run's, the (p, r, q, s) reads outside
+    p's row, and the number of reads."""
+    wrong, outside, count = [], [], 0
+    for r in range(1, exec_.rounds + 1):
+        for p in range(exec_.n):
+            reads = []
+            store = [RecordedRow(row, q, reads) for q, row in enumerate(exec_.states)]
+            if algo.step(exec_.states[p][r - 1], view_at(exec_, p, r, store), r) != exec_.states[p][r]:
+                wrong.append((p, r))
+            row = exec_.lastrounds[r - 1][p]
+            outside += [(p, r, q, s) for q, s in reads if not 0 <= s <= row[q]]
+            count += len(reads)
+    return wrong, outside, count
+
+
+def audited_runs(family):
+    """(algorithm, execution) pairs of one family of shipped runs."""
+    if family == "locking":
+        for knobs in KNOBS:
+            for n, D, seq, inputs in KNOB_CASES:
+                algo = locking(n, D, knobs)
+                yield algo, run(algo, inputs, seq)
+    elif family == "voting":
+        for n, seed in ((3, 0), (4, 1), (6, 2)):
+            yield VotingConsensus(), cli.run_once({"algorithm": "voting", "n": n}, seed)[0]
+    else:
+        algo = LockingConsensus(N=2, D=1)
+        for seed in range(4):
+            yield algo, run(algo, [0, 1], adversary.scenario("lossy-link", horizon=100, seed=seed))
+
+
+@pytest.mark.parametrize("family", ["locking", "voting", "lossy-link"])
+def test_steps_read_only_their_views(family):
+    # Every step, replayed with its own memo, gives the recorded state back
+    # and reads only states its process knows: the shipped algorithms stay
+    # inside their views and take nothing from the round's shared memo.
+    # The locking family covers all 16 knob combinations on the digest
+    # cases, the sink sequence among them.
+    for algo, exec_ in audited_runs(family):
+        wrong, outside, count = audit(algo, exec_)
+        assert not wrong and not outside, (wrong[:3], outside[:3])
+        assert count > 0

@@ -178,6 +178,52 @@ class TestPostWindowLock:
         assert check_post_window_lock(exec_, (1, 2, frozenset({0})), 2) == []
 
 
+# Runs whose stable window starts at round 1, at n = 2 and D = 1: a star
+# centred on 0 for 20 rounds with inputs [1, 0], and lossy-link seed 6,
+# whose window is rounds 1..2, with inputs [0, 1].
+WINDOW_AT_ROUND_ONE = [
+    (GraphSequence(2, (star(0, 2),) * 20), [1, 0]),
+    (adversary.scenario("lossy-link", horizon=20, seed=6), [0, 1]),
+]
+
+
+def locking_run_verdict(seq, inputs):
+    """The library verdict on a LockingConsensus(N=2, D=1) run over seq,
+    with its first stable window of D+1 rounds."""
+    algo = LockingConsensus(N=2, D=1)
+    return verification.locking_verdict(run(algo, inputs, seq), algo, adversary.stable_window(seq, 2))
+
+
+class TestVerdicts:
+    def test_locking_verdict_is_the_run_verdict(self):
+        # The verdict on a run assembled from the library equals the one
+        # `run_once` gives for the same configuration.
+        seq, window = adversary.generate_stable(4, 2, 3, 5, 60, 1)
+        algo = LockingConsensus(N=4, D=2)
+        verdict = verification.locking_verdict(run(algo, [0, 1, 1, 0], seq), algo, window)
+        cfg = {"n": 4, "D": 2, "stability_start": 5, "horizon": 60, "inputs": [0, 1, 1, 0]}
+        assert verdict.ok
+        assert verdict.to_json() == cli.run_once(cfg, 1)[1].to_json()
+
+    def test_window_at_round_one_cases(self):
+        # Both cases' windows start at round 1, and the star case passes
+        # once round 1 has another root.
+        assert [adversary.stable_window(seq, 2)[0] for seq, _ in WINDOW_AT_ROUND_ONE] == [1, 1]
+        seq = GraphSequence(2, (star(1, 2),) + (star(0, 2),) * 19)
+        assert adversary.stable_window(seq, 2)[0] == 2
+        assert locking_run_verdict(seq, [1, 0]).ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the initial lock (lockround 1) keeps a process whose input differs "
+        "from the root's value from adopting it at round D+1",
+    )
+    @pytest.mark.parametrize("seq, inputs", WINDOW_AT_ROUND_ONE, ids=["star", "lossy-link"])
+    def test_window_at_round_one(self, seq, inputs):
+        verdict = locking_run_verdict(seq, inputs)
+        assert verdict.ok, verdict.to_json()
+
+
 class TestIndistinguishability:
     def test_identical_sequences(self):
         seq = GraphSequence(2, (g(2, [(0, 1)]),) * 3)
