@@ -9,6 +9,7 @@ compound-graph voting algorithm.
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Any, Callable
 
@@ -56,8 +57,8 @@ def check_nonsplit(seq: GraphSequence) -> tuple[bool, tuple[int, int, int] | Non
     Self-loops count, so an edge (p, q) alone already covers the pair (p, q).
     Returns (ok, first (round, p, q) violation or None).
     """
-    for r in seq.rounds():
-        ins = seq.graph(r).ins
+    for r, g in enumerate(seq.graphs, start=1):
+        ins = g.ins
         for p in range(seq.n):
             for q in range(p + 1, seq.n):
                 if not ins[p] & ins[q]:
@@ -412,8 +413,10 @@ def scenario_indist_b(n: int, D: int, tau: int, horizon: int) -> GraphSequence:
     return GraphSequence(n, tuple(graphs))
 
 
-def scenario_lossy_link(horizon: int, seed: int) -> GraphSequence:
+def scenario_lossy_link(horizon: int, seed: int = 0) -> GraphSequence:
     """Two processes; each round exactly one direction gets through."""
+    if horizon < 1:
+        raise ValueError(f"the horizon must be >= 1, got {horizon}")
     rng = random.Random(seed)
     graphs = tuple(
         CommGraph(2, frozenset({(0, 1) if rng.random() < 0.5 else (1, 0)}))
@@ -422,33 +425,27 @@ def scenario_lossy_link(horizon: int, seed: int) -> GraphSequence:
     return GraphSequence(2, graphs)
 
 
-# Scenario name -> (builder from the parameter dict, required parameters,
-# optional parameters). Each parameter name is also the name of its
-# `rootsim scenario` flag. Every scenario requires a horizon.
-Builder = Callable[[dict[str, Any]], GraphSequence]
-SCENARIOS: dict[str, tuple[Builder, tuple[str, ...], tuple[str, ...]]] = {
-    "indist-a": (lambda p: scenario_indist_a(p["n"], p["D"], p["horizon"]), ("n", "D", "horizon"), ()),
-    "indist-b": (
-        lambda p: scenario_indist_b(p["n"], p["D"], p["tau"], p["horizon"]),
-        ("n", "D", "tau", "horizon"),
-        (),
-    ),
-    "lossy-link": (lambda p: scenario_lossy_link(p["horizon"], p.get("seed", 0)), ("horizon",), ("seed",)),
+# Scenario name -> builder. A builder's parameters are the ones the
+# scenario takes, those without a default the ones it requires; each is
+# an integer and also names its `rootsim scenario` flag. Every scenario
+# requires a horizon.
+SCENARIOS: dict[str, Callable[..., GraphSequence]] = {
+    "indist-a": scenario_indist_a,
+    "indist-b": scenario_indist_b,
+    "lossy-link": scenario_lossy_link,
 }
-SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def scenario(name: str, **params: Any) -> GraphSequence:
     """Build a scripted sequence by name; see SCENARIOS."""
     if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    build, required, optional = SCENARIOS[name]
-    missing = [f"--{key}" for key in required if params.get(key) is None]
+        raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
+    build = SCENARIOS[name]
+    accepted = inspect.signature(build).parameters
+    missing = [f"--{key}" for key, p in accepted.items() if p.default is p.empty and key not in params]
     if missing:
         raise ValueError(f"needs {' and '.join(missing)}")
-    extra = [f"--{key}" for key in params if key not in required and key not in optional]
+    extra = [f"--{key}" for key in params if key not in accepted]
     if extra:
         raise ValueError(f"takes no {' or '.join(extra)}")
-    if params["horizon"] < 1:
-        raise ValueError(f"the horizon must be >= 1, got {params['horizon']}")
-    return build(params)
+    return build(**params)

@@ -335,7 +335,6 @@ class VotingConsensus:
 
         pending = [m for (m, _) in messages.values() if m is not None]
         if pending:
-            # Adopt a received pending vote; pick deterministically.
-            chosen = messages[min(q for q in messages if messages[q][0] is not None)][0]
-            return VoteState(chosen, None, decided, decision, prev_root)  # type: ignore[arg-type]
+            # Adopt the pending vote of the lowest sender that has one.
+            return VoteState(pending[0], None, decided, decision, prev_root)
         return VoteState(proposal, None, decided, decision, prev_root)

@@ -9,6 +9,7 @@ per trial.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -270,12 +271,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report["member"] else 1
 
 
+def _scenario_params() -> dict[str, None]:
+    """The parameters of every scenario builder, one integer flag each."""
+    return dict.fromkeys(key for build in adversary.SCENARIOS.values() for key in inspect.signature(build).parameters)
+
+
 def cmd_scenario(args: argparse.Namespace) -> int:
-    params: dict[str, Any] = {}
-    for key in ("n", "D", "tau", "horizon", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in _scenario_params() if getattr(args, key) is not None}
     try:
         seq = adversary.scenario(args.name, **params)
     except ValueError as exc:
@@ -332,12 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_scn = sub.add_parser("scenario", help="emit a scripted sequence")
-    p_scn.add_argument("name", choices=list(adversary.SCENARIO_NAMES))
-    p_scn.add_argument("--n", type=int)
-    p_scn.add_argument("--D", type=int, dest="D")
-    p_scn.add_argument("--tau", type=int)
-    p_scn.add_argument("--horizon", type=int)
-    p_scn.add_argument("--seed", type=int)
+    p_scn.add_argument("name", choices=list(adversary.SCENARIOS))
+    for key in _scenario_params():
+        p_scn.add_argument(f"--{key}", type=int)
     p_scn.add_argument("--out")
     p_scn.set_defaults(func=cmd_scenario)
     return parser

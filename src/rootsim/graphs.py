@@ -68,8 +68,8 @@ class CommGraph:
         return frozenset((u, v) for v, m in enumerate(self.ins) for u in members(m) if u != v)
 
 
-def root_masks(ins: Sequence[int]) -> list[int]:
-    """All root components of the graph with in-neighbour masks `ins`, as masks.
+def root_components(g: CommGraph) -> frozenset[frozenset[int]]:
+    """All root components of g: SCCs with no in-edge from outside.
 
     v lies in a root component iff every ancestor of v has the same
     ancestor set as v, that is, iff v reaches every one of its ancestors;
@@ -78,8 +78,9 @@ def root_masks(ins: Sequence[int]) -> list[int]:
     member, or one known to lie outside every root) lies outside every
     root itself, so it needs no closure.
     """
+    ins = g.ins
     settled = 0
-    roots: list[int] = []
+    roots = []
     for v in range(len(ins)):
         bit = 1 << v
         if settled & bit:
@@ -87,11 +88,11 @@ def root_masks(ins: Sequence[int]) -> list[int]:
         if not ins[v] & settled:
             anc = _ancestors(ins, v)
             if not anc & settled and _reaches_all(ins, bit, anc ^ bit):
-                roots.append(anc)
+                roots.append(frozenset(members(anc)))
                 settled |= anc
                 continue
         settled |= bit
-    return roots
+    return frozenset(roots)
 
 
 def _reaches_all(ins: Sequence[int], reached: int, rest: int) -> bool:
@@ -118,11 +119,6 @@ def _ancestors(ins: Sequence[int], v: int) -> int:
         new = _union(ins, new) & ~seen
         seen |= new
     return seen
-
-
-def root_components(g: CommGraph) -> frozenset[frozenset[int]]:
-    """All root components of g: SCCs with no in-edge from outside."""
-    return frozenset(frozenset(members(m)) for m in root_masks(g.ins))
 
 
 def compound(g1: CommGraph, g2: CommGraph) -> CommGraph:
@@ -192,9 +188,6 @@ class GraphSequence:
         if not (1 <= r <= len(self.graphs)):
             raise GraphError(f"round {r} outside 1..{len(self.graphs)}")
         return self.graphs[r - 1]
-
-    def rounds(self) -> range:
-        return range(1, len(self.graphs) + 1)
 
     @cached_property
     def root_sets(self) -> tuple[frozenset[frozenset[int]], ...]:

@@ -292,6 +292,20 @@ class TestScenarios:
         with pytest.raises(ValueError):
             scenario("no-such-scenario")
 
+    def test_added_builder_works_through_scenario(self, monkeypatch):
+        # A builder's signature is the scenario's parameter list: those
+        # without a default are required, and nothing else is taken.
+        def ring(n: int, horizon: int, shift: int = 1) -> GraphSequence:
+            return GraphSequence(n, (CommGraph(n, [(p, (p + shift) % n) for p in range(n)]),) * horizon)
+
+        monkeypatch.setitem(adversary.SCENARIOS, "ring", ring)
+        assert scenario("ring", n=3, horizon=2) == ring(3, 2)
+        assert scenario("ring", n=3, horizon=2, shift=2) == ring(3, 2, 2)
+        with pytest.raises(ValueError, match="^needs --n and --horizon$"):
+            scenario("ring", shift=2)
+        with pytest.raises(ValueError, match="^takes no --seed$"):
+            scenario("ring", n=3, horizon=2, seed=1)
+
 
 class TestMembershipReport:
     def test_report_json_round_trippable(self):

@@ -369,6 +369,26 @@ class TestScenario:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: scenario {argv[0]!r}: takes no {flag}"], err
 
+    def test_flags_are_the_builders_parameters(self, monkeypatch, capsys):
+        def flags():
+            sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+            return {o for a in sub.choices["scenario"]._actions for o in a.option_strings}
+
+        assert flags() == {"-h", "--help", "--n", "--D", "--tau", "--horizon", "--seed", "--out"}
+
+        # A builder added to SCENARIOS is a scenario choice, and its
+        # parameters are flags, with no edit to the CLI.
+        def ring(n: int, horizon: int, shift: int = 1) -> GraphSequence:
+            return GraphSequence(n, (graphs.CommGraph(n, [(p, (p + shift) % n) for p in range(n)]),) * horizon)
+
+        monkeypatch.setitem(adversary.SCENARIOS, "ring", ring)
+        assert flags() == {"-h", "--help", "--n", "--D", "--tau", "--horizon", "--seed", "--shift", "--out"}
+        assert main(["scenario", "ring", "--n", "3", "--shift", "2", "--horizon", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1:] == ['{"round": %d, "edges": [[0, 2], [1, 0], [2, 1]]}' % r for r in (1, 2)]
+        assert main(["scenario", "ring", "--n", "3", "--tau", "2", "--horizon", "2"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: scenario 'ring': takes no --tau"]
+
     def test_bad_params(self):
         assert main(["scenario", "indist-a", "--n", "3", "--D", "2", "--horizon", "8"]) == 2
 
