@@ -16,7 +16,8 @@ import random
 import statistics
 import sys
 import traceback
-from typing import IO, Any
+from contextlib import contextmanager
+from typing import IO, Any, Iterator
 
 from . import adversary, engine, verification
 from .algorithms import LockingConsensus, VotingConsensus
@@ -43,7 +44,7 @@ def _load_config(path: str | None) -> dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
@@ -192,19 +193,23 @@ def run_once(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verifica
     raise UsageError(f"unknown algorithm {algorithm!r} (expected 'locking' or 'voting')")
 
 
-def _open_output(path: str) -> IO[str]:
+@contextmanager
+def _output(path: str) -> Iterator[IO[str]]:
+    """`path` opened for writing; failing to open, write or close it is a
+    usage error."""
     try:
-        return open(path, "w")
+        with open(path, "w") as fh:
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_outputs(args: argparse.Namespace, exec_: engine.Execution, verdict: verification.Verdict) -> None:
     if args.out_trace:
-        with _open_output(args.out_trace) as fh:
+        with _output(args.out_trace) as fh:
             exec_.write_trace(fh)
     if args.out_verdict:
-        with _open_output(args.out_verdict) as fh:
+        with _output(args.out_verdict) as fh:
             json.dump(verdict.to_json(), fh, indent=2)
             fh.write("\n")
 
@@ -283,7 +288,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"scenario {args.name!r}: {exc}") from exc
     if args.out:
-        with _open_output(args.out) as fh:
+        with _output(args.out) as fh:
             write_jsonl(seq, fh)
     else:
         write_jsonl(seq, sys.stdout)

@@ -281,7 +281,7 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
         header = _json_object(lines[0], "n", "rounds")
         n = _json_int(header["n"], "n")
         rounds = _json_int(header["rounds"], "rounds")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphError(f"line 1: bad header ({exc})") from exc
     if n < 1:
         raise GraphError(f"line 1: need at least one process, got n={n}")
@@ -297,6 +297,6 @@ def read_jsonl(fh: IO[str]) -> GraphSequence:
             if not isinstance(edges, list):
                 raise GraphError(f"edges must be a list of integer pairs, got {edges!r}")
             graphs.append(CommGraph(n, map(_edge, edges)))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise GraphError(f"line {i}: {exc}") from exc
     return GraphSequence(n, tuple(graphs))

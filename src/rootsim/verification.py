@@ -305,7 +305,8 @@ def voting_verdict(exec_: Execution) -> Verdict:
 
     Consensus is due VOTING_DECISION_OFFSET rounds after the second graph
     of the first two-round broadcast window, or by the run's last round
-    without one, and every compound round must be non-split.
+    without one, every compound round must be non-split, and every
+    estimate, which targets the round before its own, must be sound.
     """
     stars = adversary.check_star_window(exec_.seq, 2)
     deadline = stars[0][0] + 1 + VOTING_DECISION_OFFSET if stars else exec_.rounds
@@ -315,4 +316,5 @@ def voting_verdict(exec_: Execution) -> Verdict:
         verdict.invariant_failures.append(
             {"invariant": "compound-nonsplit", "violation": list(split)}
         )
+    verdict.invariant_failures.extend(check_detection_soundness(exec_, 1))
     return verdict

@@ -182,6 +182,19 @@ class TestGenerateStable:
     def test_deterministic(self):
         assert stable(4, 3, 4, 60, 7)[0] == stable(4, 3, 4, 60, 7)[0]
 
+    @pytest.mark.parametrize("n,D", [(n, D) for n in range(2, 7) for D in range(1, n)])
+    def test_longer_horizon_keeps_the_prefix(self, n, D):
+        # Growing only the horizon extends the sequence: the same graphs up
+        # to the shorter horizon, and the same window.
+        x = D + 1
+        for seed in range(30):
+            start = window_start(n, x, seed)
+            horizon = start + x - 1 + 3
+            seq, window = generate_stable(n, D, x, start, horizon, seed)
+            longer, longer_window = generate_stable(n, D, x, start, horizon + 37, seed)
+            assert longer.graphs[:horizon] == seq.graphs
+            assert longer_window == window
+
     def test_revalidation_skips_voting_properties(self, monkeypatch):
         # Non-split rounds and broadcast windows are voting properties that
         # membership ignores, so generation does not compute them.

@@ -13,6 +13,9 @@ from rootsim.graphs import GraphSequence, read_jsonl, star, write_jsonl
 # A short replay file's content: six rounds of a star centred on process 0.
 STAR_SEQ = GraphSequence(3, (star(0, 3),) * 6)
 
+# A device on which every write fails with "No space left on device".
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
 
 class TestRun:
     def test_passing_run_exit_zero(self, capsys, tmp_path):
@@ -113,6 +116,28 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, err
         assert err.startswith(f"error: cannot read config {path}: ") and "can't decode byte 0xff" in err, err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000,
+            pytest.param(
+                '{"n": ' + "1" * 5000 + "}",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no integer-string conversion limit"
+                ),
+            ),
+        ],
+        ids=["nested", "long-integer"],
+    )
+    def test_config_json_too_deep_or_long_exits_two(self, text, tmp_path, capsys):
+        # Used to end in a RecursionError or ValueError traceback.
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot read config {path}: "), err
 
     @pytest.mark.parametrize("algorithm", ["locking", "voting"])
     @pytest.mark.parametrize(
@@ -315,6 +340,23 @@ class TestValidate:
         assert out == "" and len(err.splitlines()) == 1, err
         assert err.startswith("error: cannot load sequence: ") and "can't decode byte 0xff" in err, err
 
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (["[" * 200_000, '{"round": 1, "edges": []}'], "line 1: bad header ("),
+            (['{"n": 2, "rounds": 1}', "[" * 200_000], "line 2: "),
+        ],
+        ids=["header", "round-line"],
+    )
+    def test_deeply_nested_line_exits_two(self, lines, message, tmp_path, capsys):
+        # Used to end in a RecursionError traceback.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot load sequence: parse error: {message}"), err
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_header_without_processes_exits_two(self, n, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -421,8 +463,14 @@ class TestUnwritableOutput:
             ["run", "--n", "3", "--seed", "1", "--out-verdict", "{missing}"],
             ["run", "--n", "3", "--seed", "1", "--out-trace", "{dir}"],
             ["scenario", "lossy-link", "--horizon", "3", "--out", "{missing}"],
+            # The file opens and the write fails; these used to end in an
+            # OSError traceback.
+            pytest.param(["run", "--n", "3", "--seed", "1", "--out-trace", "/dev/full"], marks=DEV_FULL),
+            pytest.param(["run", "--n", "3", "--seed", "1", "--out-verdict", "/dev/full"], marks=DEV_FULL),
+            pytest.param(["scenario", "lossy-link", "--horizon", "3", "--out", "/dev/full"], marks=DEV_FULL),
         ],
-        ids=["out-trace", "out-verdict", "directory", "scenario-out"],
+        ids=["out-trace", "out-verdict", "directory", "scenario-out",
+             "out-trace-full", "out-verdict-full", "scenario-out-full"],
     )
     def test_exit_two_with_one_error_line(self, argv, tmp_path, capsys):
         paths = {"missing": str(tmp_path / "no-such-dir" / "f.jsonl"), "dir": str(tmp_path)}

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rootsim import adversary, cli, verification
-from rootsim.algorithms import LockingConsensus, LockState
+from rootsim.algorithms import LockingConsensus, LockState, VotingConsensus
 from rootsim.engine import Execution, run
 from rootsim.graphs import CommGraph, GraphSequence, star
 from rootsim.verification import (
@@ -143,6 +143,24 @@ class TestDetectionSoundness:
             "process": 0,
             "estimate": [0, 1],
             "true_root": None,
+            "members_known": True,
+        }]
+
+
+    def test_voting_verdict_reports_an_unsound_estimate(self):
+        # Voting estimates target the round before their own. Process 1's
+        # round-3 estimate is replaced by {0, 1}, no root component of the
+        # star round 2, whose one root is {0}.
+        exec_ = run(VotingConsensus(), [0, 1, 1], GraphSequence(3, (star(0, 3),) * 4))
+        assert exec_.states[1][3].detected == frozenset({0})
+        assert verification.voting_verdict(exec_).ok
+        exec_.states[1][3] = exec_.states[1][3]._replace(detected=frozenset({0, 1}))
+        assert verification.voting_verdict(exec_).invariant_failures == [{
+            "invariant": "estimate-soundness",
+            "round": 3,
+            "process": 1,
+            "estimate": [0, 1],
+            "true_root": [0],
             "members_known": True,
         }]
 
