@@ -240,10 +240,8 @@ def generate_stable(
 
     anchor = rng.randrange(n)
     anchor_root = frozenset({anchor})
-    window_root = _random_root_set(rng, n)
     # For n = 2 the full set is excluded, or no valid round-2 root exists.
-    while window_root == anchor_root or (n == 2 and len(window_root) == n):
-        window_root = _random_root_set(rng, n)
+    window_root = _random_root_set(rng, n, anchor_root, frozenset(range(n)) if n == 2 else None)
 
     graphs: list[CommGraph] = []
     prev_root: frozenset[int] | None = None

@@ -214,8 +214,8 @@ class LockingConsensus:
             "detected_root": sorted(state.detected) if state.detected is not None else None,
         }
 
-    def step(self, state: LockState, view: ProcessView, r: int) -> LockState:
-        N, D = self.N, self.D
+    def step(self, state: LockState, view: ProcessView) -> LockState:
+        N, D, r = self.N, self.D, view.round
         proposal, locked, lockround, queue, decided, decision, since, _ = state
 
         root = estimate_root(view, r - D) if r > D else None
@@ -313,7 +313,8 @@ class VotingConsensus:
             "detected_root": sorted(state.detected) if state.detected is not None else None,
         }
 
-    def step(self, state: VoteState, view: ProcessView, r: int) -> VoteState:
+    def step(self, state: VoteState, view: ProcessView) -> VoteState:
+        r = view.round
         proposal, vote, decided, decision, _ = state
         # The round-r senders are the processes whose newest known state is
         # their round-(r-1) one.

@@ -1,9 +1,9 @@
 """Command-line front end: run, sweep, validate, scenario.
 
 Exit codes: 0 all checks passed, 1 a property check failed, 2 usage or
-parse error, 141 standard output closed early (as by `| head`). All
-randomness derives from the single --seed; sweeps use seed + trial index
-per trial.
+parse error or a failed write, 141 standard output closed early (as by
+`| head`). All randomness derives from the single --seed; sweeps use
+seed + trial index per trial.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import IO, Any, Iterator
 
 from . import adversary, engine, verification
 from .algorithms import LockingConsensus, VotingConsensus
-from .graphs import GraphError, GraphSequence, read_jsonl, write_jsonl
+from .graphs import GraphError, GraphSequence, is_json_int, read_jsonl, write_jsonl
 
 # Config fields that the `run` and `sweep` flags override.
 RUN_KEYS = ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
@@ -82,14 +82,9 @@ def _resolve_inputs(cfg: dict[str, Any], n: int, seed: int) -> list[int]:
     if inputs == "random-binary":
         rng = random.Random(f"inputs-{seed}")
         return [rng.randint(0, 1) for _ in range(n)]
-    if isinstance(inputs, list) and len(inputs) == n and all(map(_is_int, inputs)):
+    if isinstance(inputs, list) and len(inputs) == n and all(map(is_json_int, inputs)):
         return inputs
     raise UsageError(f"inputs must be 'random-binary' or a list of {n} integers")
-
-
-def _is_int(value: Any) -> bool:
-    """Is `value` an integer? JSON true and false are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int(cfg: dict[str, Any], key: str, default: int | None = None) -> int:
@@ -100,7 +95,7 @@ def _int(cfg: dict[str, Any], key: str, default: int | None = None) -> int:
         if default is None:
             raise UsageError(f"{key} is required")
         return default
-    if not _is_int(value):
+    if not is_json_int(value):
         raise UsageError(f"{key} must be an integer, got {value!r}")
     return value
 
@@ -357,12 +352,15 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed standard output. Point it at the null device so
-        # the final flush at exit cannot fail again, and exit as a process
-        # killed by SIGPIPE would (128 + 13).
+    except OSError as exc:
+        # Writing standard output failed: its reader closed it, or the
+        # write itself failed (as on a full disk). Point it at the null
+        # device so the final flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141  # as a process killed by SIGPIPE would (128 + 13)
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

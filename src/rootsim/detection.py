@@ -32,16 +32,15 @@ def estimate_root(view: ProcessView, s: int) -> frozenset[int] | None:
     connected under the reported edges: the one root component of the
     round whose members' reports are all known.
     """
-    if s > view.round:
-        raise ValueError(f"cannot estimate round {s} from round {view.round}")
+    owner, r, lastround, _, root_sets, _ = view
+    if s > r:
+        raise ValueError(f"cannot estimate round {s} from round {r}")
     if s < 1:
         raise ValueError(f"round index must be >= 1, got {s}")
     # A round-s report is known iff its sender's round-s state is; the
     # owner also knows its own current one.
-    lastround = view.lastround
-    owner = view.owner
     found = None
-    for root in view._root_sets[s - 1]:
+    for root in root_sets[s - 1]:
         for q in root:
             if lastround[q] < s and q != owner:
                 break

@@ -18,6 +18,9 @@ each sender's own entry set to r-1. It is one tuple per distinct
 in-neighbour mask, which every process with that mask reads and the run
 records; the nearly complete compound graphs of voting have few masks.
 
+A step sees its round as one ProcessView: an immutable tuple of its
+owner, the round, its row, the state store, the sequence's root
+components and the round's memo, so a step cannot rebind any of them.
 Each round's root components are computed once per sequence
 (GraphSequence.root_sets), and detection.estimate_root reads its
 estimates off them. LockingConsensus's lock candidates are computed when
@@ -31,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Protocol
+from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
 from .graphs import GraphSequence, members
 
@@ -48,74 +51,64 @@ class Algorithm(Protocol):
 
     def initial_state(self, pid: int, x: int) -> Any: ...
 
-    def step(self, state: Any, view: "ProcessView", r: int) -> Any:
-        """Round computation: returns the new state, which carries any
-        root estimate the computation made."""
+    def step(self, state: Any, view: "ProcessView") -> Any:
+        """Round computation for round `view.round`: returns the new
+        state, which carries any root estimate the computation made."""
         ...
 
     def trace_fields(self, state: Any) -> dict[str, Any]: ...
 
 
-class ProcessView:
-    """One process's knowledge at the start of its round-r computation:
-    its causal past, as one row.
+class ProcessView(NamedTuple):
+    """One process's knowledge at the start of its round-r computation,
+    r = `round`: its causal past, as one row. The view is an immutable
+    tuple, so assigning any of its fields fails at the assignment.
 
     `lastround[q]` is the newest round s such that q's round-s state is
     known (NEVER if q was never heard of). It is the only knowledge bound:
     q's round-s state is readable iff 0 <= s <= lastround[q]. The owner's
     own entry is r-1, since its round-r state is what the current
     computation produces, root estimate included, and the round-r senders
-    are exactly the processes whose entry is r-1. The row is an immutable
-    tuple, shared by every process with the same receive set and recorded
-    as Execution.lastrounds. Every state read goes through `state`, which
+    are exactly the processes whose entry is r-1. The row is a tuple too,
+    shared by every process with the same receive set and recorded as
+    Execution.lastrounds. Every state read goes through `state`, which
     raises EngineError outside the view, or through `newest`, which reads
     only each process's newest known state.
 
-    Rebinding `lastround`, `owner` or `round` would widen the view. The
-    engine raises EngineError after a step that leaves any of them rebound;
-    it does not see a step that rebinds one and restores it before
-    returning, nor a step that reads `_states` directly.
+    `states` is the run's whole store and `root_sets[s-1]` the round-s
+    root components. Nothing stops a step from reading `states` past its
+    row; tests/test_lock_runs.py::test_steps_read_only_their_views audits
+    that the shipped algorithms do not.
 
     `memo` is shared by the views of one round and dropped after it.
     LockingConsensus keeps its round-(r-D) lock candidates there, keyed by
     root. An entry is a function of its key and the round alone, and a
     view reads only the entries whose key its own knowledge yields, so a
     cached entry tells a view nothing it could not compute from what it
-    knows.
+    knows. The same audit replays every step with an empty memo.
     """
 
-    __slots__ = ("owner", "round", "lastround", "_states", "_root_sets", "memo")
-
-    def __init__(
-        self,
-        owner: int,
-        r: int,
-        lastround: tuple[int, ...],
-        states: list[list[Any]],
-        seq: GraphSequence,
-        memo: dict[Any, Any],
-    ):
-        self.owner = owner
-        self.round = r
-        self.lastround = lastround
-        self._states = states
-        self._root_sets = seq.root_sets  # root_sets[s-1]: the round-s root components
-        self.memo = memo
+    owner: int
+    round: int
+    lastround: tuple[int, ...]
+    states: list[list[Any]]
+    root_sets: tuple[frozenset[frozenset[int]], ...]
+    memo: dict[Any, Any]
 
     def state(self, q: int, s: int) -> Any:
         if not (0 <= s <= self.lastround[q]):
             raise EngineError(
                 f"process {self.owner} has no recorded round-{s} state of {q} at round {self.round}"
             )
-        return self._states[q][s]
+        return self.states[q][s]
 
     def newest(self, lo: int) -> list[tuple[int, int, Any]]:
         """(q, s, q's round-s state) for every q whose newest known round s
         is at least lo >= 0, in increasing q; each such read lies inside
-        the view. newest(r-1) yields the round-r senders."""
+        the view. newest(round - 1) yields the round's senders."""
         if lo < 0:
             raise ValueError(f"need lo >= 0, got {lo}")
-        states = self._states
+        states = self.states
         return [(q, s, states[q][s]) for q, s in enumerate(self.lastround) if s >= lo]
 
 
@@ -173,6 +166,7 @@ def run(
 
     states: list[list[Any]] = [[algorithm.initial_state(p, inputs[p])] for p in range(n)]
     lastrounds: list[tuple[tuple[int, ...], ...]] = []
+    root_sets = seq.root_sets
     # Before round 1 nobody knows any state, its own included: the merge
     # sets each sender's own entry.
     sent = ((NEVER,) * n,) * n
@@ -200,17 +194,15 @@ def run(
 
         memo: dict[Any, Any] = {}
         for p in range(n):
-            row = views[p]
-            view = ProcessView(p, r, row, states, seq, memo)
+            # tuple.__new__ skips the keyword handling of ProcessView(...).
+            view = tuple.__new__(ProcessView, (p, r, views[p], states, root_sets, memo))
             old = states[p][newest]
             try:
-                new_state = algorithm.step(old, view, r)
+                new_state = algorithm.step(old, view)
             except EngineError:
                 raise
             except Exception as exc:  # pragma: no cover - contract breach path
                 raise EngineError(f"algorithm failed at round {r}, process {p}: {exc}") from exc
-            if view.lastround is not row or view.owner != p or view.round != r:
-                raise EngineError(f"process {p} rebound its view at round {r}")
             if getattr(old, "decided", False):
                 if not getattr(new_state, "decided", False) or new_state.decision != old.decision:
                     raise EngineError(f"process {p} revoked its decision at round {r}")

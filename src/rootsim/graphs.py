@@ -247,9 +247,14 @@ def write_jsonl(seq: GraphSequence, fh: IO[str]) -> None:
         fh.write(json.dumps({"round": r, "edges": [list(e) for e in edges]}) + "\n")
 
 
+def is_json_int(value: object) -> bool:
+    """Is `value` a JSON integer? Floats, strings, true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_int(value: object, what: str) -> int:
-    """`value` if it is a JSON integer; floats, strings, true and false are not."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """`value` if it is a JSON integer."""
+    if not is_json_int(value):
         raise GraphError(f"{what} must be an integer, got {value!r}")
     return value
 

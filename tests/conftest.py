@@ -32,9 +32,9 @@ class Probe:
     def initial_state(self, pid: int, x: int):
         return (pid, x)
 
-    def step(self, state, view: engine.ProcessView, r: int):
+    def step(self, state, view: engine.ProcessView):
         if self.hook is not None:
-            self.hook(state, view, r)
+            self.hook(state, view, view.round)
         return state
 
     def trace_fields(self, state):

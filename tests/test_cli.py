@@ -507,6 +507,31 @@ class TestClosedPipe:
         assert b"Traceback" not in proc.stderr
 
 
+class TestFullStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "3", "--seed", "1"],
+            ["sweep", "--n", "3", "--trials", "2"],
+            ["scenario", "lossy-link", "--horizon", "3"],
+        ],
+        ids=["run", "sweep", "scenario"],
+    )
+    @DEV_FULL
+    def test_full_stdout_exits_two_with_one_error_line(self, argv):
+        # Every write to /dev/full fails with ENOSPC.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rootsim.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        err = proc.stderr.decode().splitlines()
+        assert proc.returncode == 2, err
+        assert err == ["error: cannot write standard output: No space left on device"]
+
+
 class TestSequenceInput:
     def test_run_on_sequence_file(self, tmp_path):
         # Generate a stable sequence via the library, save it, and run the

@@ -127,21 +127,21 @@ class TestFullInformation:
             run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),) * 2))
 
     @pytest.mark.parametrize(
-        "attr,value,read,unheard",
+        "attr,value,read",
         [
-            # 0's round-1 state (pid 0, input 0).
-            ("lastround", (1, 1), lambda view: view.state(0, 1), (0, 0)),
-            # Round 2's root {0}, fully known only to its owner 0.
-            ("owner", 0, lambda view: estimate_root(view, 2), frozenset({0})),
-            # Round 3's root {1}: a round that 1 has not reached.
-            ("round", 3, lambda view: estimate_root(view, 3), frozenset({1})),
+            # Would read 0's round-1 state.
+            ("lastround", (1, 1), lambda view: view.state(0, 1)),
+            # Would read round 2's root {0}, fully known only to its owner 0.
+            ("owner", 0, lambda view: estimate_root(view, 2)),
+            # Would read round 3's root {1}: a round that 1 has not reached.
+            ("round", 3, lambda view: estimate_root(view, 3)),
         ],
         ids=["lastround", "owner", "round"],
     )
-    def test_a_view_cannot_rebind_its_knowledge(self, attr, value, read, unheard):
+    def test_a_view_cannot_rebind_its_knowledge(self, attr, value, read):
         # Process 1 never hears of 0, and at round 2 knows nothing of round
-        # 3. Each rebinding lets the step read what it never heard of; the
-        # engine must not accept the state that step returns.
+        # 3. Each rebinding would let the step read what it never heard of;
+        # the assignment itself fails, so the read never happens.
         read_back = []
 
         def hook(state, view, r):
@@ -149,9 +149,28 @@ class TestFullInformation:
                 setattr(view, attr, value)
                 read_back.append(read(view))
 
-        with pytest.raises(EngineError, match="rebound its view"):
+        with pytest.raises(EngineError) as info:
             run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),) * 3))
-        assert read_back == [unheard]
+        assert isinstance(info.value.__cause__, AttributeError)
+        assert read_back == []
+
+    def test_a_view_cannot_be_rebound_and_restored(self):
+        # A step that rebinds its row, reads 0's round-1 state through it
+        # and puts the row back returns with its view as it was given; the
+        # assignment must fail before the read.
+        read_back = []
+
+        def hook(state, view, r):
+            if view.owner == 1 and r == 2:
+                row = view.lastround
+                view.lastround = (1, 1)
+                read_back.append(view.state(0, 1))
+                view.lastround = row
+
+        with pytest.raises(EngineError) as info:
+            run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),) * 3))
+        assert isinstance(info.value.__cause__, AttributeError)
+        assert read_back == []
 
 
 class TestLastHeard:
@@ -210,9 +229,9 @@ class TestLastHeard:
         seen = []
         step = algo.step
 
-        def recording_step(state, view, r):
-            seen.append((view.owner, r, view.lastround[view.owner]))
-            return step(state, view, r)
+        def recording_step(state, view):
+            seen.append((view.owner, view.round, view.lastround[view.owner]))
+            return step(state, view)
 
         algo.step = recording_step
         exec_ = run(algo, [0, 1, 1, 0], seq)
@@ -262,7 +281,7 @@ class TestContracts:
             def initial_state(self, pid, x):
                 return FlakyState(decided=True, decision=x)
 
-            def step(self, state, view, r):
+            def step(self, state, view):
                 return FlakyState(decided=False, decision=None)
 
             def trace_fields(self, state):

@@ -83,7 +83,8 @@ def key(st):
 def view_at(exec_, p, r, states=None):
     """p's view at the start of its round-r computation, with an empty
     memo; `states` serves the states in place of the run's store."""
-    return ProcessView(p, r, exec_.lastrounds[r - 1][p], exec_.states if states is None else states, exec_.seq, {})
+    store = exec_.states if states is None else states
+    return ProcessView(p, r, exec_.lastrounds[r - 1][p], store, exec_.seq.root_sets, {})
 
 
 # The default configuration and each knob flipped on its own.
@@ -166,7 +167,7 @@ def test_restepping_an_older_state_leaves_later_queues_unchanged():
     assert len(confirming) > 5
     for r in confirming:
         older = exec_.states[p][r - 1]
-        again = algo.step(older, view_at(exec_, p, r), r)
+        again = algo.step(older, view_at(exec_, p, r))
         assert again == exec_.states[p][r]
         assert again.queue.log is not exec_.states[p][r].queue.log
         assert tuple(older.queue.append(10**6)) == queues[r - 1] + (10**6,)
@@ -219,7 +220,7 @@ def audit(algo, exec_):
         for p in range(exec_.n):
             reads = []
             store = [RecordedRow(row, q, reads) for q, row in enumerate(exec_.states)]
-            if algo.step(exec_.states[p][r - 1], view_at(exec_, p, r, store), r) != exec_.states[p][r]:
+            if algo.step(exec_.states[p][r - 1], view_at(exec_, p, r, store)) != exec_.states[p][r]:
                 wrong.append((p, r))
             row = exec_.lastrounds[r - 1][p]
             outside += [(p, r, q, s) for q, s in reads if not 0 <= s <= row[q]]
