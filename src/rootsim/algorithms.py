@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, NamedTuple
 
 from .detection import estimate_root
-from .engine import ProcessView
+from .engine import NEVER, ProcessView
 
 
 class LockQueue:
@@ -88,12 +88,26 @@ class LockQueue:
 class LockState(NamedTuple):
     """One process's locking state. Its key is its proposal if it is locked,
     else None; `since` is the first round of the maximal run of equal keys
-    in the process's state row that ends at this state. `since` is derived
-    bookkeeping and is not traced. `queue` is a window on the process's
-    queue log (LockQueue); any tuple of rounds also serves where no round
-    computation steps the state. `detected` is the root component of the
-    round r-D graph that the process detected in its round-r computation,
-    or None."""
+    in the process's state row that ends at this state. `dissent` is the
+    latest round s of a state (q, s) that the process knows after its
+    round-r computation and whose key differs from this state's key, or
+    NEVER if there is none.
+
+    `dissent` is exact from the round's senders alone: the row of a
+    round-r view is the union of its senders' rows, each downward-closed
+    per process, and a sender's own round-(r-1) state is the newest state
+    any round-r view can hold. So if every sender's key is k, the latest
+    state against k is the latest of the senders' `dissent`s, and against
+    any other key it is round r-1, as it is against every key if the
+    senders' keys differ (`sender_dissent`).
+
+    `since` and `dissent` are derived bookkeeping and are not traced. A
+    hand-built state has `since` 0 and `dissent` NEVER; like a tuple of
+    rounds as its `queue` (any tuple serves where a LockQueue is
+    expected), it serves only where no round computation steps it or
+    reads it as a sender. `detected` is the root component of the round
+    r-D graph that the process detected in its round-r computation, or
+    None."""
 
     proposal: int
     locked: bool
@@ -102,6 +116,7 @@ class LockState(NamedTuple):
     decided: bool
     decision: int | None
     since: int = 0
+    dissent: int = NEVER
     detected: frozenset[int] | None = None
 
 
@@ -134,6 +149,32 @@ def scan_recent(view: ProcessView, lo: int, proposal: int) -> tuple[set[int], in
     return locked_values, max_cut, min_cut
 
 
+def sender_dissent(view: ProcessView) -> tuple[int | None, int]:
+    """(k, d) from the newest states of the round's senders alone: the
+    latest round of a state the view knows whose key differs from v is d
+    if v == k, else round - 1. If every sender's key is k, d is the
+    latest of their `dissent`s; if the senders' keys differ, k is the
+    first sender's key and d is round - 1, so that every v gets round - 1.
+
+    It reads `states[q][round - 1]` for each q whose row entry is
+    round - 1, which is what `newest(round - 1)` serves, without building
+    that list."""
+    _, r, row, states, _, _ = view
+    r1 = r - 1
+    k = d = None
+    for q, s in enumerate(row):
+        if s == r1:
+            st = states[q][s]
+            key = st.proposal if st.locked else None
+            if d is None:
+                k, d = key, st.dissent
+            elif key != k:
+                return k, r1
+            elif st.dissent > d:
+                d = st.dissent
+    return k, d
+
+
 class VoteState(NamedTuple):
     """One process's voting state; `detected` is the root component of the
     round r-1 graph that it detected in its round-r computation, or None."""
@@ -148,11 +189,20 @@ class VoteState(NamedTuple):
 class LockingConsensus:
     """Locking consensus; parameters N (known bound on n, N >= n) and D.
 
-    The queries over recent states read them as runs of equal keys: one
-    walk (`scan_recent`) finds the locked values seen in the last N rounds
-    and the backoff cuts among them, and the decide guard holds when each
-    heard process's newest state holds our locked proposal and its run
-    (`since`) began by the start of the guard's lookback.
+    The queries over recent states read one number first: the latest
+    round of a known state whose key differs from our proposal. Each step
+    derives it from its senders' newest states alone (`sender_dissent`),
+    and that is exact because a round-r view knows exactly what its
+    senders knew after round r-1, and a sender's round-(r-1) state is
+    the newest state it can know (see LockState). The decide guard holds
+    when that round lies before the start of its lookback. Backoff and
+    unanimous adoption need a walk only when that round lies inside the
+    last N rounds; otherwise every recent state holds our locked
+    proposal, and neither rule can fire. The walk (`scan_recent`) reads
+    the recent states as runs of equal keys, jumping through `since`, and
+    finds the locked values seen in the last N rounds and the backoff
+    cuts among them. A hand-built state has `dissent` NEVER, so it serves
+    only where no step reads it as a sender.
 
     `decide_span` = N(D+2N) is the paper's termination bound: the decide
     guard is due `decide_span` rounds after the lock round, and its
@@ -216,7 +266,10 @@ class LockingConsensus:
 
     def step(self, state: LockState, view: ProcessView) -> LockState:
         N, D, r = self.N, self.D, view.round
-        proposal, locked, lockround, queue, decided, decision, since, _ = state
+        proposal, locked, lockround, queue, decided, decision, since, _, _ = state
+        # The latest known state whose key differs from v is of round d if
+        # v == k, else of round r-1.
+        k, d = sender_dissent(view)
 
         root = estimate_root(view, r - D) if r > D else None
 
@@ -249,9 +302,15 @@ class LockingConsensus:
                 queue = queue.append(r)
 
         # Backoff needs r >= lockround + N, and unanimous adoption needs
-        # r >= lockround + 2N with a lockround that only a backoff can move:
-        # when neither can fire, skip the walk over recent states.
-        if r >= lockround + N and (self.backoff or (self.adopt_unanimous and r >= lockround + 2 * N)):
+        # r >= lockround + 2N with a lockround that only a backoff can move.
+        # Either needs a state of the last N rounds that does not hold our
+        # locked proposal: without one, the walk finds that value alone and
+        # no cut. When neither can fire, skip the walk over recent states.
+        if (
+            r >= lockround + N
+            and (self.backoff or (self.adopt_unanimous and r >= lockround + 2 * N))
+            and (d if proposal == k else r - 1) >= r - N
+        ):
             # Recent states: everyone whose fresh-enough state reached us,
             # with all their recorded states inside the N-round lookback.
             locked_values, max_cut, min_cut = scan_recent(view, max(0, r - N), proposal)
@@ -269,15 +328,14 @@ class LockingConsensus:
 
         due = lockround + self.decide_span
         if not decided and (r >= due if self.decide_rule == "sliding" else r == due):
-            lo = max(0, r - self.decide_span)
-            # q's states from lo on all hold our locked proposal iff its
-            # newest one does and that one's run began by lo.
-            if all(st.locked and st.proposal == proposal and st.since <= lo for _, _, st in view.newest(lo)):
+            # Every known state of the lookback holds our locked proposal.
+            if (d if proposal == k else r - 1) < max(0, r - self.decide_span):
                 decided, decision = True, proposal
 
-        if (proposal if locked else None) != (state.proposal if state.locked else None):
+        key = proposal if locked else None
+        if key != (state.proposal if state.locked else None):
             since = r
-        return LockState(proposal, locked, lockround, queue, decided, decision, since, root)
+        return LockState(proposal, locked, lockround, queue, decided, decision, since, d if key == k else r - 1, root)
 
 
 def value_of_root(root: frozenset[int], messages: dict[int, tuple[int | None, int]]) -> int:

@@ -55,7 +55,8 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
 
 def _load_sequence(path: str, n: int | None = None) -> GraphSequence:
-    """The sequence stored at `path`; with `n`, it must have n processes."""
+    """The sequence stored at `path`; with `n`, it is run on, so it must
+    have n processes and at least one round."""
     try:
         with open(path, encoding="utf-8") as fh:
             seq = read_jsonl(fh)
@@ -65,6 +66,8 @@ def _load_sequence(path: str, n: int | None = None) -> GraphSequence:
         raise UsageError(f"cannot load sequence: parse error: {exc}") from exc
     if n is not None and seq.n != n:
         raise UsageError(f"sequence has n={seq.n}, config says {n}")
+    if n is not None and not seq.graphs:
+        raise UsageError("the sequence has no rounds to run")
     return seq
 
 
@@ -165,6 +168,8 @@ def _run_voting(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, verif
         base = _load_sequence(path, n)
         rounds = min(_horizon(cfg, len(base)), len(base))
         rem = rounds % (n - 1)
+        if rounds == rem:
+            raise UsageError(f"the sequence has no full block of {n - 1} rounds to run")
         if rem:
             print(f"warning: dropping {rem} trailing round(s) not filling a block of {n - 1}", file=sys.stderr)
         base = GraphSequence(n, base.graphs[: rounds - rem])

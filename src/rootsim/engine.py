@@ -71,14 +71,16 @@ class ProcessView(NamedTuple):
     computation produces, root estimate included, and the round-r senders
     are exactly the processes whose entry is r-1. The row is a tuple too,
     shared by every process with the same receive set and recorded as
-    Execution.lastrounds. Every state read goes through `state`, which
-    raises EngineError outside the view, or through `newest`, which reads
+    Execution.lastrounds. The view reads states through `state`, which
+    raises EngineError outside the view, and through `newest`, which reads
     only each process's newest known state.
 
     `states` is the run's whole store and `root_sets[s-1]` the round-s
-    root components. Nothing stops a step from reading `states` past its
-    row; tests/test_lock_runs.py::test_steps_read_only_their_views audits
-    that the shipped algorithms do not.
+    root components. A step may read `states[q][s]` itself where
+    s <= lastround[q], as LockingConsensus reads its senders'. Nothing
+    stops a step from reading `states` past its row;
+    tests/test_lock_runs.py::test_steps_read_only_their_views audits that
+    the shipped algorithms do not.
 
     `memo` is shared by the views of one round and dropped after it.
     LockingConsensus keeps its round-(r-D) lock candidates there, keyed by

@@ -82,6 +82,29 @@ class TestBadInput:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["run", "--algorithm", "voting"], ["sweep", "--trials", "2"]],
+        ids=["locking", "voting", "sweep"],
+    )
+    def test_replay_without_rounds_exits_two(self, argv, tmp_path, capsys):
+        # No horizon is set: the file has no rounds.
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"n": 3, "rounds": 0}\n')
+        assert main([*argv, "--n", "3", "--sequence", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: the sequence has no rounds to run"], err
+
+    def test_voting_replay_without_a_full_block_exits_two(self, tmp_path, capsys):
+        # One round at n = 3 fills no block of two: a run of no compound
+        # rounds would report that nobody decided by round 0.
+        path = tmp_path / "s.jsonl"
+        with open(path, "w") as fh:
+            write_jsonl(STAR_SEQ, fh)
+        assert main(["run", "--algorithm", "voting", "--n", "3", "--sequence", str(path), "--horizon", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: the sequence has no full block of 2 rounds to run"], err
+
+    @pytest.mark.parametrize(
         "cfg",
         [
             {"n": 3, "prune": "bogus"},

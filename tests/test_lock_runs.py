@@ -1,8 +1,8 @@
-"""LockingConsensus under every knob: its traces, each state's run start, the
-walk over recent states against slice scans of the state rows, and the lock
-queues as windows on one log per process. An audit replays every step of
-the shipped algorithms' runs through views that record the states they
-serve."""
+"""LockingConsensus under every knob: its traces, each state's run start and
+latest dissent, the walk over recent states against slice scans of the state
+rows, and the lock queues as windows on one log per process. An audit
+replays every step of the shipped algorithms' runs through views that
+record the states they serve."""
 
 import hashlib
 import itertools
@@ -11,8 +11,8 @@ import random
 import pytest
 
 from rootsim import adversary, cli
-from rootsim.algorithms import LockingConsensus, LockQueue, VotingConsensus, scan_recent
-from rootsim.engine import ProcessView, run
+from rootsim.algorithms import LockingConsensus, LockQueue, VotingConsensus, scan_recent, sender_dissent
+from rootsim.engine import NEVER, ProcessView, run
 
 from conftest import sink_mutation_sequence
 
@@ -111,16 +111,41 @@ def test_since_starts_each_run_of_equal_keys(executions):
                 assert st.since == first, (p, s)
 
 
+def lossy_link_runs():
+    algo = LockingConsensus(N=2, D=1)
+    for seed in range(4):
+        yield algo, run(algo, [0, 1], adversary.scenario("lossy-link", horizon=100, seed=seed))
+
+
+def test_dissent_is_the_latest_known_state_with_another_key(executions):
+    # Each state's dissent against the brute-force value: the latest round
+    # of a state its process knows after its step whose key differs from
+    # its own, found by walking every known row down from its newest state.
+    for exec_ in [*executions, *(e for _, e in lossy_link_runs())]:
+        keys = [[key(st) for st in row] for row in exec_.states]
+        assert all(row[0].dissent == NEVER for row in exec_.states)
+        for r in range(1, exec_.rounds + 1):
+            for p, known in enumerate(exec_.lastrounds[r - 1]):
+                mine = keys[p][r]
+                latest = NEVER
+                for q, newest in enumerate(known):
+                    s = next((s for s in range(newest, -1, -1) if keys[q][s] != mine), NEVER)
+                    latest = max(latest, s)
+                assert exec_.states[p][r].dissent == latest, (p, r)
+
+
 def test_run_walk_matches_window_scans(executions):
     # At every (p, r) and for every proposal value: the locked values and
-    # both backoff cuts from scan_recent, and the decide guard from the
-    # newest states, against slices of the rows.
+    # both backoff cuts from scan_recent, the decide guard from the newest
+    # states, and whether the sender-derived dissent falls inside the N-round
+    # lookback and the decide span, against slices of the rows.
     for exec_, (n, D, _, inputs) in zip(executions, ORACLE_CASES):
         N = n
         keys = [[key(st) for st in row] for row in exec_.states]
         for r in range(1, exec_.rounds + 1):
             for p in range(n):
                 view = view_at(exec_, p, r)
+                k, d = sender_dissent(view)
                 # The heard rule spelled out from the recorded knowledge: p
                 # always hears itself, its newest state being round r-1's;
                 # anyone else counts from p's knowledge of it.
@@ -142,6 +167,9 @@ def test_run_walk_matches_window_scans(executions):
                     scan_guard = all(set(keys[q][lo2 : newest_round[q] + 1]) <= {v} for q in heard)
                     walk_guard = all(key(st) == v and st.since <= lo2 for _, _, st in view.newest(lo2))
                     assert scan_guard == walk_guard, (p, r, v)
+                    dissent = d if v == k else r - 1
+                    assert (dissent < lo) == (not scanned), (p, r, v)
+                    assert (dissent < lo2) == scan_guard, (p, r, v)
 
 
 def test_states_share_one_queue_log_per_process():
@@ -239,9 +267,7 @@ def audited_runs(family):
         for n, seed in ((3, 0), (4, 1), (6, 2)):
             yield VotingConsensus(), cli.run_once({"algorithm": "voting", "n": n}, seed)[0]
     else:
-        algo = LockingConsensus(N=2, D=1)
-        for seed in range(4):
-            yield algo, run(algo, [0, 1], adversary.scenario("lossy-link", horizon=100, seed=seed))
+        yield from lossy_link_runs()
 
 
 @pytest.mark.parametrize("family", ["locking", "voting", "lossy-link"])
