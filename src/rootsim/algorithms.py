@@ -87,11 +87,9 @@ class LockQueue:
 
 class LockState(NamedTuple):
     """One process's locking state. Its key is its proposal if it is locked,
-    else None; `since` is the first round of the maximal run of equal keys
-    in the process's state row that ends at this state. `dissent` is the
-    latest round s of a state (q, s) that the process knows after its
-    round-r computation and whose key differs from this state's key, or
-    NEVER if there is none.
+    else None. `dissent` is the latest round s of a state (q, s) that the
+    process knows after its round-r computation and whose key differs
+    from this state's key, or NEVER if there is none.
 
     `dissent` is exact from the round's senders alone: the row of a
     round-r view is the union of its senders' rows, each downward-closed
@@ -101,13 +99,12 @@ class LockState(NamedTuple):
     any other key it is round r-1, as it is against every key if the
     senders' keys differ (`sender_dissent`).
 
-    `since` and `dissent` are derived bookkeeping and are not traced. A
-    hand-built state has `since` 0 and `dissent` NEVER; like a tuple of
-    rounds as its `queue` (any tuple serves where a LockQueue is
-    expected), it serves only where no round computation steps it or
-    reads it as a sender. `detected` is the root component of the round
-    r-D graph that the process detected in its round-r computation, or
-    None."""
+    `dissent` is derived bookkeeping and is not traced. A hand-built
+    state has `dissent` NEVER; like a tuple of rounds as its `queue` (any
+    tuple serves where a LockQueue is expected), it serves only where no
+    round computation steps it or reads it as a sender. `detected` is the
+    root component of the round r-D graph that the process detected in
+    its round-r computation, or None."""
 
     proposal: int
     locked: bool
@@ -115,38 +112,28 @@ class LockState(NamedTuple):
     queue: LockQueue | tuple[int, ...]
     decided: bool
     decision: int | None
-    since: int = 0
     dissent: int = NEVER
     detected: frozenset[int] | None = None
 
 
-def scan_recent(view: ProcessView, lo: int, proposal: int) -> tuple[set[int], int | None, int | None]:
-    """One walk over the recorded states from round lo on of every process
-    heard from since round lo, as maximal runs of equal keys, each
-    process's oldest run clipped to lo. Returns the locked values among
-    them and the backoff cuts against `proposal`: the latest end (max
-    prune) and the earliest start (min prune) of a run whose key differs
-    from it, both None if there is no such run. The walk jumps from run to
-    run through `since`, so it reads one state per run."""
+def scan_recent(view: ProcessView, lo: int, proposal: int) -> tuple[set[int], int | None]:
+    """The locked values among the known states of rounds lo on, and the
+    earliest round of such a state whose key differs from `proposal` (the
+    min-prune backoff cut), None if there is none. The latest such round
+    (the max-prune cut) is the dissent against `proposal` whenever that
+    lies at lo or later, so the walk does not find it."""
+    _, _, row, states, _, _ = view
     locked_values: set[int] = set()
-    max_cut = min_cut = None
-    for q, s, st in view.newest(lo):
-        while True:
-            since = st.since
+    min_cut = None
+    for q, s in enumerate(row):
+        for t in range(lo, s + 1):
+            st = states[q][t]
             key = st.proposal if st.locked else None
-            start = since if since > lo else lo
             if key is not None:
                 locked_values.add(key)
-            if key != proposal:
-                if max_cut is None or s > max_cut:
-                    max_cut = s
-                if min_cut is None or start < min_cut:
-                    min_cut = start
-            if since <= lo:
-                break
-            s = since - 1
-            st = view.state(q, s)
-    return locked_values, max_cut, min_cut
+            if key != proposal and (min_cut is None or t < min_cut):
+                min_cut = t
+    return locked_values, min_cut
 
 
 def sender_dissent(view: ProcessView) -> tuple[int | None, int]:
@@ -198,10 +185,10 @@ class LockingConsensus:
     when that round lies before the start of its lookback. Backoff and
     unanimous adoption need a walk only when that round lies inside the
     last N rounds; otherwise every recent state holds our locked
-    proposal, and neither rule can fire. The walk (`scan_recent`) reads
-    the recent states as runs of equal keys, jumping through `since`, and
-    finds the locked values seen in the last N rounds and the backoff
-    cuts among them. A hand-built state has `dissent` NEVER, so it serves
+    proposal, and neither rule can fire. When it does lie there, it is the
+    max-prune backoff cut, and the walk (`scan_recent`) reads every known
+    state of the last N rounds for the locked values among them and the
+    min-prune cut. A hand-built state has `dissent` NEVER, so it serves
     only where no step reads it as a sender.
 
     `decide_span` = N(D+2N) is the paper's termination bound: the decide
@@ -266,7 +253,7 @@ class LockingConsensus:
 
     def step(self, state: LockState, view: ProcessView) -> LockState:
         N, D, r = self.N, self.D, view.round
-        proposal, locked, lockround, queue, decided, decision, since, _, _ = state
+        proposal, locked, lockround, queue, decided, decision, _, _ = state
         # The latest known state whose key differs from v is of round d if
         # v == k, else of round r-1.
         k, d = sender_dissent(view)
@@ -306,16 +293,16 @@ class LockingConsensus:
         # Either needs a state of the last N rounds that does not hold our
         # locked proposal: without one, the walk finds that value alone and
         # no cut. When neither can fire, skip the walk over recent states.
+        # With one, the latest such state's round dp is the max-prune cut.
+        dp = d if proposal == k else r - 1
         if (
             r >= lockround + N
             and (self.backoff or (self.adopt_unanimous and r >= lockround + 2 * N))
-            and (d if proposal == k else r - 1) >= r - N
+            and dp >= r - N
         ):
-            # Recent states: everyone whose fresh-enough state reached us,
-            # with all their recorded states inside the N-round lookback.
-            locked_values, max_cut, min_cut = scan_recent(view, max(0, r - N), proposal)
-            if self.backoff and max_cut is not None:
-                queue = queue.drop_through(max_cut if self.prune == "max" else min_cut)
+            locked_values, min_cut = scan_recent(view, r - N, proposal)
+            if self.backoff:
+                queue = queue.drop_through(dp if self.prune == "max" else min_cut)
                 if queue:
                     lockround = queue[0]
                 else:
@@ -333,9 +320,7 @@ class LockingConsensus:
                 decided, decision = True, proposal
 
         key = proposal if locked else None
-        if key != (state.proposal if state.locked else None):
-            since = r
-        return LockState(proposal, locked, lockround, queue, decided, decision, since, d if key == k else r - 1, root)
+        return LockState(proposal, locked, lockround, queue, decided, decision, d if key == k else r - 1, root)
 
 
 def value_of_root(root: frozenset[int], messages: dict[int, tuple[int | None, int]]) -> int:

@@ -227,9 +227,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge(_load_config(args.config), args)
-    trials = args.trials if args.trials is not None else _int(cfg, "trials", 0)
+    if args.trials is not None:
+        trials, source = args.trials, "--trials"
+    elif cfg.get("trials") is not None:
+        trials, source = _int(cfg, "trials"), "the config's trials"
+    else:
+        raise UsageError("sweep needs a trial count: give --trials or the config's trials")
     if trials < 1:
-        raise UsageError("--trials must be >= 1")
+        raise UsageError(f"{source} must be >= 1, got {trials}")
     base_seed = _int(cfg, "seed", 0)
     passed, failures, crashes = 0, [], []
     decision_offsets: list[int] = []

@@ -207,6 +207,21 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "'trials'" in err, err
 
+    def test_sweep_without_a_trial_count_exits_two(self, capsys):
+        # Used to say "--trials must be >= 1", naming a flag nobody gave.
+        assert main(["sweep", "--n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: sweep needs a trial count: give --trials or the config's trials"
+        ], err
+
+    def test_sweep_config_trials_below_one_names_the_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3, "trials": 0}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: the config's trials must be >= 1, got 0"], err
+
     def test_replay_rejects_stability_start(self, tmp_path, capsys):
         path = tmp_path / "s.jsonl"
         with open(path, "w") as fh:

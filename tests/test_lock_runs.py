@@ -1,8 +1,8 @@
-"""LockingConsensus under every knob: its traces, each state's run start and
-latest dissent, the walk over recent states against slice scans of the state
-rows, and the lock queues as windows on one log per process. An audit
-replays every step of the shipped algorithms' runs through views that
-record the states they serve."""
+"""LockingConsensus under every knob: its traces, each state's latest
+dissent, the walk over recent states and the dissent as the max-prune cut
+against slice scans of the state rows, and the lock queues as windows on
+one log per process. An audit replays every step of the shipped
+algorithms' runs through views that record the states they serve."""
 
 import hashlib
 import itertools
@@ -100,17 +100,6 @@ def executions(request):
     return [run(locking(n, D, request.param), inputs, seq) for n, D, seq, inputs in ORACLE_CASES]
 
 
-def test_since_starts_each_run_of_equal_keys(executions):
-    for exec_ in executions:
-        for p in range(exec_.n):
-            keys = [key(st) for st in exec_.states[p]]
-            for s, st in enumerate(exec_.states[p]):
-                first = s
-                while first > 0 and keys[first - 1] == keys[s]:
-                    first -= 1
-                assert st.since == first, (p, s)
-
-
 def lossy_link_runs():
     algo = LockingConsensus(N=2, D=1)
     for seed in range(4):
@@ -136,8 +125,8 @@ def test_dissent_is_the_latest_known_state_with_another_key(executions):
 
 def test_run_walk_matches_window_scans(executions):
     # At every (p, r) and for every proposal value: the locked values and
-    # both backoff cuts from scan_recent, the decide guard from the newest
-    # states, and whether the sender-derived dissent falls inside the N-round
+    # the min-prune cut from scan_recent, the sender-derived dissent as the
+    # max-prune cut, and whether that dissent falls inside the N-round
     # lookback and the decide span, against slices of the rows.
     for exec_, (n, D, _, inputs) in zip(executions, ORACLE_CASES):
         N = n
@@ -159,15 +148,14 @@ def test_run_walk_matches_window_scans(executions):
                 heard = [q for q in range(n) if q == p or known[q] >= lo2]
                 assert [(q, s) for q, s, _ in view.newest(lo2)] == [(q, newest_round[q]) for q in heard]
                 for v in set(inputs):
-                    locked_values, max_cut, min_cut = scan_recent(view, lo, v)
+                    locked_values, min_cut = scan_recent(view, lo, v)
                     assert locked_values == scanned_locked, (p, r)
                     scanned = [s for w in window for s, k in enumerate(w, start=lo) if k != v]
-                    assert max_cut == (max(scanned) if scanned else None), (p, r, v)
                     assert min_cut == (min(scanned) if scanned else None), (p, r, v)
-                    scan_guard = all(set(keys[q][lo2 : newest_round[q] + 1]) <= {v} for q in heard)
-                    walk_guard = all(key(st) == v and st.since <= lo2 for _, _, st in view.newest(lo2))
-                    assert scan_guard == walk_guard, (p, r, v)
                     dissent = d if v == k else r - 1
+                    if scanned:
+                        assert dissent == max(scanned), (p, r, v)
+                    scan_guard = all(set(keys[q][lo2 : newest_round[q] + 1]) <= {v} for q in heard)
                     assert (dissent < lo) == (not scanned), (p, r, v)
                     assert (dissent < lo2) == scan_guard, (p, r, v)
 
