@@ -116,24 +116,16 @@ class LockState(NamedTuple):
     detected: frozenset[int] | None = None
 
 
-def scan_recent(view: ProcessView, lo: int, proposal: int) -> tuple[set[int], int | None]:
-    """The locked values among the known states of rounds lo on, and the
-    earliest round of such a state whose key differs from `proposal` (the
-    min-prune backoff cut), None if there is none. The latest such round
-    (the max-prune cut) is the dissent against `proposal` whenever that
-    lies at lo or later, so the walk does not find it."""
+def scan_recent(view: ProcessView, lo: int) -> set[int]:
+    """The locked values among the known states of rounds lo on."""
     _, _, row, states, _, _ = view
     locked_values: set[int] = set()
-    min_cut = None
     for q, s in enumerate(row):
         for t in range(lo, s + 1):
             st = states[q][t]
-            key = st.proposal if st.locked else None
-            if key is not None:
-                locked_values.add(key)
-            if key != proposal and (min_cut is None or t < min_cut):
-                min_cut = t
-    return locked_values, min_cut
+            if st.locked:
+                locked_values.add(st.proposal)
+    return locked_values
 
 
 def sender_dissent(view: ProcessView) -> tuple[int | None, int]:
@@ -183,54 +175,40 @@ class LockingConsensus:
     senders knew after round r-1, and a sender's round-(r-1) state is
     the newest state it can know (see LockState). The decide guard holds
     when that round lies before the start of its lookback. Backoff and
-    unanimous adoption need a walk only when that round lies inside the
-    last N rounds; otherwise every recent state holds our locked
-    proposal, and neither rule can fire. When it does lie there, it is the
-    max-prune backoff cut, and the walk (`scan_recent`) reads every known
-    state of the last N rounds for the locked values among them and the
-    min-prune cut. A hand-built state has `dissent` NEVER, so it serves
-    only where no step reads it as a sender.
+    unanimous adoption fire only when that round lies inside the last N
+    rounds; otherwise every recent state holds our locked proposal. When
+    it does lie there, it is the backoff cut, and unanimous adoption walks
+    every known state of the last N rounds for the locked values among
+    them (`scan_recent`). A hand-built state has `dissent` NEVER, so it
+    serves only where no step reads it as a sender.
 
     `decide_span` = N(D+2N) is the paper's termination bound: the decide
     guard is due `decide_span` rounds after the lock round, and its
     lookback is the last `decide_span` rounds.
 
-    Optional knobs (defaults are the verified configuration):
-    - prune: on backoff, drop queued confirmations up to the "max" (default)
-      or "min" violating state round.
-    - adopt_unanimous: enable the unanimous-locked-value adoption rule
-      (disabling it is a mutation used to validate the checkers).
-    - backoff: enable the backoff rule (same purpose).
+    The keywords are mutations that validate the checkers; the defaults
+    are the verified configuration:
+    - adopt_unanimous=False disables the unanimous-locked-value adoption
+      rule, and backoff=False the backoff rule.
     - decide_rule: "sliding" (default) evaluates the decide guard every
       round from lockround + decide_span onward; "exact" evaluates it only
-      in that one round, and is a mutation. The sliding rule is what
-      makes termination-by-deadline hold: a process whose lock round
-      predates the stability window gets exactly one "exact" chance, and
-      that chance can land while stale pre-stability states are still in
+      in that one round. The sliding rule is what makes
+      termination-by-deadline hold: a process whose lock round predates
+      the stability window gets exactly one "exact" chance, and that
+      chance can land while stale pre-stability states are still in
       scope, after which the guard would never be re-examined.
     """
 
     def __init__(
-        self,
-        N: int,
-        D: int,
-        prune: str = "max",
-        adopt_unanimous: bool = True,
-        backoff: bool = True,
-        decide_rule: str = "sliding",
+        self, N: int, D: int, adopt_unanimous: bool = True, backoff: bool = True, decide_rule: str = "sliding"
     ):
         if N < 1 or D < 1:
             raise ValueError(f"need N >= 1 and D >= 1, got N={N}, D={D}")
-        if prune not in ("max", "min"):
-            raise ValueError(f"unknown prune mode {prune!r}")
         if decide_rule not in ("sliding", "exact"):
             raise ValueError(f"unknown decide_rule {decide_rule!r}")
-        if not (isinstance(adopt_unanimous, bool) and isinstance(backoff, bool)):
-            raise ValueError("adopt_unanimous and backoff must be true or false")
         self.N = N
         self.D = D
         self.decide_span = N * (D + 2 * N)
-        self.prune = prune
         self.adopt_unanimous = adopt_unanimous
         self.backoff = backoff
         self.decide_rule = decide_rule
@@ -288,35 +266,28 @@ class LockingConsensus:
             elif candidate == proposal:
                 queue = queue.append(r)
 
-        # Backoff needs r >= lockround + N, and unanimous adoption needs
-        # r >= lockround + 2N with a lockround that only a backoff can move.
-        # Either needs a state of the last N rounds that does not hold our
-        # locked proposal: without one, the walk finds that value alone and
-        # no cut. When neither can fire, skip the walk over recent states.
-        # With one, the latest such state's round dp is the max-prune cut.
+        # Backoff and unanimous adoption need r >= lockround + N and a state
+        # of the last N rounds that does not hold our locked proposal; the
+        # latest such state's round dp is the backoff cut. Without one, the
+        # last N rounds hold our locked proposal alone, and neither can fire.
         dp = d if proposal == k else r - 1
-        if (
-            r >= lockround + N
-            and (self.backoff or (self.adopt_unanimous and r >= lockround + 2 * N))
-            and dp >= r - N
-        ):
-            locked_values, min_cut = scan_recent(view, r - N, proposal)
+        if r >= lockround + N and dp >= r - N:
             if self.backoff:
-                queue = queue.drop_through(dp if self.prune == "max" else min_cut)
+                queue = queue.drop_through(dp)
                 if queue:
                     lockround = queue[0]
                 else:
                     locked = False
-
-            if self.adopt_unanimous and r >= lockround + 2 * N and len(locked_values) == 1:
-                (unanimous,) = locked_values
-                if unanimous != proposal:
-                    proposal = unanimous
+            if self.adopt_unanimous and r >= lockround + 2 * N:
+                locked_values = scan_recent(view, r - N)
+                if len(locked_values) == 1:
+                    (proposal,) = locked_values
 
         due = lockround + self.decide_span
         if not decided and (r >= due if self.decide_rule == "sliding" else r == due):
             # Every known state of the lookback holds our locked proposal.
-            if (d if proposal == k else r - 1) < max(0, r - self.decide_span):
+            # The lookback starts at r - decide_span >= lockround >= 1.
+            if (d if proposal == k else r - 1) < r - self.decide_span:
                 decided, decision = True, proposal
 
         key = proposal if locked else None

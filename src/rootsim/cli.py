@@ -24,14 +24,11 @@ from .algorithms import LockingConsensus, VotingConsensus
 from .graphs import GraphError, GraphSequence, is_json_int, read_jsonl, write_jsonl
 
 # Config fields that the `run` and `sweep` flags override.
-RUN_KEYS = ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence",
-            "prune", "decide_rule", "stability_start"]
-# Optional LockingConsensus knobs; the constructor holds their defaults.
-LOCKING_KNOBS = ("prune", "adopt_unanimous", "backoff", "decide_rule")
+RUN_KEYS = ["algorithm", "n", "N", "D", "x", "seed", "horizon", "sequence", "stability_start"]
 # Every key a config file may hold.
-CONFIG_KEYS = {*RUN_KEYS, *LOCKING_KNOBS, "inputs", "trials"}
+CONFIG_KEYS = {*RUN_KEYS, "inputs", "trials"}
 # Config fields that only the locking algorithm reads.
-LOCKING_KEYS = ("N", "D", "x", "stability_start", *LOCKING_KNOBS)
+LOCKING_KEYS = ("N", "D", "x", "stability_start")
 
 
 class UsageError(Exception):
@@ -132,10 +129,7 @@ def _run_locking(cfg: dict[str, Any], seed: int) -> tuple[engine.Execution, veri
         raise UsageError(f"need 1 <= D <= n-1, got D={D}")
     if x < 1:
         raise UsageError(f"the stable-window length x must be >= 1, got x={x}")
-    try:
-        algo = LockingConsensus(N=N, D=D, **{k: cfg[k] for k in LOCKING_KNOBS if k in cfg})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    algo = LockingConsensus(N=N, D=D)
     path = _sequence_path(cfg)
     if path is not None:
         if cfg.get("stability_start") is not None:
@@ -318,13 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int)
         p.add_argument("--sequence", help="JSON-lines sequence file to run on")
         p.add_argument("--stability-start", type=int, dest="stability_start")
-        p.add_argument("--prune", choices=["max", "min"], help="backoff queue pruning witness")
-        p.add_argument(
-            "--decide-rule",
-            choices=["sliding", "exact"],
-            dest="decide_rule",
-            help="evaluate the decide guard from the deadline onward, or only at it",
-        )
 
     p_run = sub.add_parser("run", help="run one execution and check it")
     common(p_run)

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from rootsim import adversary, cli, verification
@@ -23,8 +26,6 @@ class TestLockingBasics:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             LockingConsensus(N=0, D=1)
-        with pytest.raises(ValueError):
-            LockingConsensus(N=2, D=2, prune="median")
         with pytest.raises(ValueError):
             LockingConsensus(N=2, D=2, decide_rule="eventually")
 
@@ -75,20 +76,35 @@ class TestLockingBasics:
         reused = run(algo, inputs, second)
         assert reused.trace_hash() == run(LockingConsensus(N=4, D=2), inputs, second).trace_hash()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_size_bound_above_n_with_inputs_up_to_n(self, n):
+        # Criterion 1 runs only N = n and binary inputs. A known bound
+        # N > n lengthens the decide span and the backoff and adoption
+        # lookbacks; every run must still pass its whole verdict.
+        failed = []
+        for D, N, seed in itertools.product(range(1, n), (n + 1, 2 * n), range(3)):
+            rng = random.Random(seed)
+            cfg = {"n": n, "D": D, "N": N, "inputs": [rng.randrange(n + 1) for _ in range(n)]}
+            if not cli.run_once(cfg, seed)[1].ok:
+                failed.append((D, N, seed))
+        assert not failed
+
 
 class TestDecideRule:
     @pytest.mark.parametrize("n,D,seed", [(5, 3, 12), (5, 4, 5)])
     def test_exact_rule_can_strand_processes(self, n, D, seed):
-        # Frozen counterexamples: with the guard evaluated only in the
-        # single round equal to the lock deadline, a process whose lock
-        # round predates the stability window hits its one deadline while
-        # stale states are still in scope and never decides in time.
-        cfg = {"algorithm": "locking", "n": n, "D": D, "decide_rule": "exact"}
-        _, verdict = cli.run_once(cfg, seed)
-        assert not verdict.termination
-        cfg["decide_rule"] = "sliding"
-        _, verdict = cli.run_once(cfg, seed)
+        # Frozen counterexamples: the CLI run passes, and on its sequence
+        # and inputs, with the guard evaluated only in the single round
+        # equal to the lock deadline, a process whose lock round predates
+        # the stability window hits its one deadline while stale states
+        # are still in scope and never decides in time.
+        exec_, verdict = cli.run_once({"algorithm": "locking", "n": n, "D": D}, seed)
         assert verdict.ok
+        window = adversary.stable_window(exec_.seq, D + 1)
+        algo = LockingConsensus(N=n, D=D, decide_rule="exact")
+        assert window[1] + algo.decide_span == verdict.deadline
+        mutated = run(algo, exec_.inputs, exec_.seq)
+        assert not verification.locking_verdict(mutated, algo, window).termination
 
 
 class TestMutations:

@@ -15,7 +15,9 @@ import json
 import pytest
 
 from conftest import sink_mutation_sequence
-from rootsim import adversary, cli
+from rootsim import adversary, cli, verification
+from rootsim.algorithms import LockingConsensus
+from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, write_jsonl
 
 
@@ -46,17 +48,13 @@ def test_trace_file_bytes(cfg, seed, digest):
     assert sha(buf.getvalue()) == digest
 
 
-def test_failing_verdict_bytes(tmp_path):
+def test_failing_verdict_bytes():
     # The sink sequence with both convergence rules off: the verdict lists
     # 14 invariant failures, so every witness shape is serialized.
-    path = tmp_path / "sink.jsonl"
-    with open(path, "w") as fh:
-        write_jsonl(sink_mutation_sequence(20), fh)
-    cfg = {
-        "n": 3, "D": 1, "sequence": str(path), "inputs": [1, 1, 0],
-        "adopt_unanimous": False, "backoff": False,
-    }
-    _, verdict = cli.run_once(cfg, 0)
+    seq = sink_mutation_sequence(20)
+    algo = LockingConsensus(N=3, D=1, adopt_unanimous=False, backoff=False)
+    exec_ = run(algo, [1, 1, 0], seq)
+    verdict = verification.locking_verdict(exec_, algo, adversary.stable_window(seq, 2))
     assert len(verdict.invariant_failures) == 14
     text = json.dumps(verdict.to_json(), indent=2)
     assert sha(text) == "51baa95a65b66ec05810ab59fcacf245f18c3d9263349d87760851430a589ffe"

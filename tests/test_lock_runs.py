@@ -1,8 +1,9 @@
-"""LockingConsensus under every knob: its traces, each state's latest
-dissent, the walk over recent states and the dissent as the max-prune cut
-against slice scans of the state rows, and the lock queues as windows on
-one log per process. An audit replays every step of the shipped
-algorithms' runs through views that record the states they serve."""
+"""LockingConsensus under every mutation keyword: its traces, each
+state's latest dissent, the walk over recent states and the dissent as the
+backoff cut against slice scans of the state rows, the walk's first round
+on a hand-built view, and the lock queues as windows on one log per
+process. An audit replays every step of the shipped algorithms' runs
+through views that record the states they serve."""
 
 import hashlib
 import itertools
@@ -11,13 +12,13 @@ import random
 import pytest
 
 from rootsim import adversary, cli
-from rootsim.algorithms import LockingConsensus, LockQueue, VotingConsensus, scan_recent, sender_dissent
+from rootsim.algorithms import LockingConsensus, LockQueue, LockState, VotingConsensus, scan_recent, sender_dissent
 from rootsim.engine import NEVER, ProcessView, run
 
 from conftest import sink_mutation_sequence
 
-KNOB_NAMES = ("prune", "decide_rule", "backoff", "adopt_unanimous")
-KNOBS = list(itertools.product(("max", "min"), ("sliding", "exact"), (True, False), (True, False)))
+KNOB_NAMES = ("decide_rule", "backoff", "adopt_unanimous")
+KNOBS = list(itertools.product(("sliding", "exact"), (True, False), (True, False)))
 
 
 def locking(N, D, knobs):
@@ -40,26 +41,19 @@ def sink_case():
 
 
 # Digest of the four cases' trace hashes per knob combination, recorded
-# with the window-scanning implementation of LockingConsensus.step. In
-# these cases every knob but adopt_unanimous changes some trace, and
-# adopt_unanimous changes the sink case's.
+# with the window-scanning implementation of LockingConsensus.step under
+# its max-prune backoff cut, the one that remains. In these cases
+# decide_rule and backoff change some trace, and adopt_unanimous changes
+# the sink case's.
 KNOB_DIGESTS = {
-    ("max", "sliding", True, True): "dc8e205a84c84042",
-    ("max", "sliding", True, False): "23630d3e6b0bcdd9",
-    ("max", "sliding", False, True): "24d30e6a33356a58",
-    ("max", "sliding", False, False): "24d30e6a33356a58",
-    ("max", "exact", True, True): "9902fa0c46f73812",
-    ("max", "exact", True, False): "3664056f60616425",
-    ("max", "exact", False, True): "a13af04941475405",
-    ("max", "exact", False, False): "a13af04941475405",
-    ("min", "sliding", True, True): "7ac5b5a17960f656",
-    ("min", "sliding", True, False): "97dc6f593daed60e",
-    ("min", "sliding", False, True): "24d30e6a33356a58",
-    ("min", "sliding", False, False): "24d30e6a33356a58",
-    ("min", "exact", True, True): "150f7f9468cf53e3",
-    ("min", "exact", True, False): "8f7282b811a33bb8",
-    ("min", "exact", False, True): "a13af04941475405",
-    ("min", "exact", False, False): "a13af04941475405",
+    ("sliding", True, True): "dc8e205a84c84042",
+    ("sliding", True, False): "23630d3e6b0bcdd9",
+    ("sliding", False, True): "24d30e6a33356a58",
+    ("sliding", False, False): "24d30e6a33356a58",
+    ("exact", True, True): "9902fa0c46f73812",
+    ("exact", True, False): "3664056f60616425",
+    ("exact", False, True): "a13af04941475405",
+    ("exact", False, False): "a13af04941475405",
 }
 
 
@@ -93,9 +87,10 @@ ORACLE_KNOBS = [DEFAULT] + [DEFAULT[:j] + FLIPPED[j : j + 1] + DEFAULT[j + 1 :] 
 ORACLE_CASES = [stable_case(n, D, seed) for n, D, seed in ((3, 1, 1), (4, 2, 2), (5, 4, 0), (6, 3, 1))] + [sink_case()]
 
 
-# The ids also name the decide guard's lookback, which is always the
-# decide span ("deadline").
-@pytest.fixture(scope="module", params=ORACLE_KNOBS, ids=lambda k: "-".join(map(str, (k[0], "deadline", *k[1:]))))
+# The ids also name the backoff cut, which is always the max-prune one
+# ("max"), and the decide guard's lookback, which is always the decide
+# span ("deadline").
+@pytest.fixture(scope="module", params=ORACLE_KNOBS, ids=lambda k: "-".join(map(str, ("max", "deadline", *k))))
 def executions(request):
     return [run(locking(n, D, request.param), inputs, seq) for n, D, seq, inputs in ORACLE_CASES]
 
@@ -124,10 +119,10 @@ def test_dissent_is_the_latest_known_state_with_another_key(executions):
 
 
 def test_run_walk_matches_window_scans(executions):
-    # At every (p, r) and for every proposal value: the locked values and
-    # the min-prune cut from scan_recent, the sender-derived dissent as the
-    # max-prune cut, and whether that dissent falls inside the N-round
-    # lookback and the decide span, against slices of the rows.
+    # At every (p, r): the locked values from scan_recent, and for every
+    # proposal value the sender-derived dissent as the backoff cut, and
+    # whether that dissent falls inside the N-round lookback and the
+    # decide span, against slices of the rows.
     for exec_, (n, D, _, inputs) in zip(executions, ORACLE_CASES):
         N = n
         keys = [[key(st) for st in row] for row in exec_.states]
@@ -147,17 +142,31 @@ def test_run_walk_matches_window_scans(executions):
                 lo2 = max(0, r - N * (D + 2 * N))
                 heard = [q for q in range(n) if q == p or known[q] >= lo2]
                 assert [(q, s) for q, s, _ in view.newest(lo2)] == [(q, newest_round[q]) for q in heard]
+                assert scan_recent(view, lo) == scanned_locked, (p, r)
                 for v in set(inputs):
-                    locked_values, min_cut = scan_recent(view, lo, v)
-                    assert locked_values == scanned_locked, (p, r)
                     scanned = [s for w in window for s, k in enumerate(w, start=lo) if k != v]
-                    assert min_cut == (min(scanned) if scanned else None), (p, r, v)
                     dissent = d if v == k else r - 1
                     if scanned:
                         assert dissent == max(scanned), (p, r, v)
                     scan_guard = all(set(keys[q][lo2 : newest_round[q] + 1]) <= {v} for q in heard)
                     assert (dissent < lo) == (not scanned), (p, r, v)
                     assert (dissent < lo2) == scan_guard, (p, r, v)
+
+
+def test_unanimous_adoption_walks_from_round_r_minus_N():
+    # At round r = 6 with N = 2 and D = 1, unlocked process 0 knows one
+    # locked state of the last N rounds: process 1's of round r - N = 4.
+    # Process 1 is no sender, and the round-5 root {1} is not detected, so
+    # only unanimous adoption can move process 0, and only a walk that
+    # starts at round r - N finds the value.
+    N, r, queue = 2, 6, LockQueue([], 0, 0)
+    unlocked = LockState(0, False, 1, queue, False, None)
+    locked = LockState(7, True, 1, queue, False, None)
+    states = [[unlocked] * r, [locked] * (r - N + 1)]
+    view = ProcessView(0, r, (r - 1, r - N), states, (frozenset({frozenset({1})}),) * r, {})
+    assert scan_recent(view, r - N) == {7}
+    assert LockingConsensus(N=N, D=1).step(unlocked, view)[:2] == (7, False)
+    assert LockingConsensus(N=N, D=1, adopt_unanimous=False).step(unlocked, view)[:2] == (0, False)
 
 
 def test_states_share_one_queue_log_per_process():
@@ -263,7 +272,7 @@ def test_steps_read_only_their_views(family):
     # Every step, replayed with its own memo, gives the recorded state back
     # and reads only states its process knows: the shipped algorithms stay
     # inside their views and take nothing from the round's shared memo.
-    # The locking family covers all 16 knob combinations on the digest
+    # The locking family covers all 8 knob combinations on the digest
     # cases, the sink sequence among them.
     for algo, exec_ in audited_runs(family):
         wrong, outside, count = audit(algo, exec_)
