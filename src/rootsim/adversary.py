@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import inspect
 import random
+from functools import reduce
+from operator import and_
 from typing import Any, Callable
 
 from .graphs import (
@@ -56,9 +58,15 @@ def check_nonsplit(seq: GraphSequence) -> tuple[bool, tuple[int, int, int] | Non
 
     Self-loops count, so an edge (p, q) alone already covers the pair (p, q).
     Returns (ok, first (round, p, q) violation or None).
+
+    A round in which some process is in every in-neighbour mask cannot
+    split, since that process covers every pair; one AND over the masks
+    finds it, and only the other rounds get the pairwise scan.
     """
     for r, g in enumerate(seq.graphs, start=1):
         ins = g.ins
+        if reduce(and_, ins):
+            continue
         for p in range(seq.n):
             for q in range(p + 1, seq.n):
                 if not ins[p] & ins[q]:

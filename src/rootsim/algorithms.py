@@ -136,8 +136,7 @@ def sender_dissent(view: ProcessView) -> tuple[int | None, int]:
     first sender's key and d is round - 1, so that every v gets round - 1.
 
     It reads `states[q][round - 1]` for each q whose row entry is
-    round - 1, which is what `newest(round - 1)` serves, without building
-    that list."""
+    round - 1: those q are the round's senders."""
     _, r, row, states, _, _ = view
     r1 = r - 1
     k = d = None
@@ -294,19 +293,19 @@ class LockingConsensus:
         return LockState(proposal, locked, lockround, queue, decided, decision, d if key == k else r - 1, root)
 
 
-def value_of_root(root: frozenset[int], messages: dict[int, tuple[int | None, int]]) -> int:
-    """The value a detected root dictates: a member's pending vote if any
-    member has one, else the maximum proposal among the members.
+def value_of_root(root: frozenset[int], messages: dict[int, VoteState]) -> int:
+    """The value a detected root dictates: the pending vote of its lowest
+    member that has one, else the maximum proposal among the members.
 
     Every member's message was received: the root of round r-1 is
     detected only from its members' round-(r-1) states, which are exactly
     the round-r messages.
     """
     for q in sorted(root):
-        vote = messages[q][0]
+        vote = messages[q].vote
         if vote is not None:
             return vote
-    return max(messages[q][1] for q in root)
+    return max(messages[q].proposal for q in root)
 
 
 class VotingConsensus:
@@ -328,14 +327,15 @@ class VotingConsensus:
         }
 
     def step(self, state: VoteState, view: ProcessView) -> VoteState:
-        r = view.round
+        _, r, row, states, _, _ = view
         proposal, vote, decided, decision, _ = state
-        # The round-r senders are the processes whose newest known state is
-        # their round-(r-1) one.
-        messages = {q: (st.vote, st.proposal) for q, _, st in view.newest(r - 1)}
-        prev_root = estimate_root(view, r - 1) if r >= 2 else None
+        # The round-r messages are the senders' round-(r-1) states, and the
+        # senders are the processes whose row entry is r-1.
+        r1 = r - 1
+        messages = {q: states[q][r1] for q, s in enumerate(row) if s == r1}
+        prev_root = estimate_root(view, r1) if r >= 2 else None
 
-        votes = {m for (m, _) in messages.values()}
+        votes = {st.vote for st in messages.values()}
         if None not in votes and len(votes) == 1:
             (v,) = votes
             proposal = v
@@ -348,8 +348,8 @@ class VotingConsensus:
             dictated = value_of_root(prev_root, messages)
             return VoteState(dictated, dictated, decided, decision, prev_root)
 
-        pending = [m for (m, _) in messages.values() if m is not None]
-        if pending:
-            # Adopt the pending vote of the lowest sender that has one.
-            return VoteState(pending[0], None, decided, decision, prev_root)
+        # Adopt the pending vote of the lowest sender that has one.
+        pending = next((st.vote for st in messages.values() if st.vote is not None), None)
+        if pending is not None:
+            return VoteState(pending, None, decided, decision, prev_root)
         return VoteState(proposal, None, decided, decision, prev_root)

@@ -72,13 +72,13 @@ class ProcessView(NamedTuple):
     are exactly the processes whose entry is r-1. The row is a tuple too,
     shared by every process with the same receive set and recorded as
     Execution.lastrounds. The view reads states through `state`, which
-    raises EngineError outside the view, and through `newest`, which reads
-    only each process's newest known state.
+    raises EngineError outside the view.
 
     `states` is the run's whole store and `root_sets[s-1]` the round-s
     root components. A step may read `states[q][s]` itself where
-    s <= lastround[q], as LockingConsensus reads its senders'. Nothing
-    stops a step from reading `states` past its row;
+    s <= lastround[q], as both algorithms read their senders' round-(r-1)
+    states straight off the row. Nothing stops a step from reading
+    `states` past its row;
     tests/test_lock_runs.py::test_steps_read_only_their_views audits that
     the shipped algorithms do not.
 
@@ -103,15 +103,6 @@ class ProcessView(NamedTuple):
                 f"process {self.owner} has no recorded round-{s} state of {q} at round {self.round}"
             )
         return self.states[q][s]
-
-    def newest(self, lo: int) -> list[tuple[int, int, Any]]:
-        """(q, s, q's round-s state) for every q whose newest known round s
-        is at least lo >= 0, in increasing q; each such read lies inside
-        the view. newest(round - 1) yields the round's senders."""
-        if lo < 0:
-            raise ValueError(f"need lo >= 0, got {lo}")
-        states = self.states
-        return [(q, s, states[q][s]) for q, s in enumerate(self.lastround) if s >= lo]
 
 
 @dataclass

@@ -127,8 +127,8 @@ def compound(g1: CommGraph, g2: CommGraph) -> CommGraph:
     The boolean product of the adjacency matrices (diagonal forced to 1):
     w hears u in the result iff w hears some v in g2 that heard u in g1.
     A w that hears in g2 some v that heard everyone in g1 hears everyone,
-    which spares the row walk in the nearly complete products of long
-    blocks.
+    which spares the row walk in the nearly complete products that a
+    block's fold passes through before it is complete (`compound_all`).
     """
     if g1.n != g2.n:
         raise GraphError(f"process count mismatch: {g1.n} vs {g2.n}")
@@ -149,12 +149,26 @@ def _union(ins: Sequence[int], mask: int) -> int:
 
 
 def compound_all(graphs: Iterable[CommGraph]) -> CommGraph:
+    """The compound of `graphs` in order: their fold under `compound`.
+
+    The fold stops once the compound is complete. Every process hears
+    itself, so a complete graph stays complete under any further
+    compounding. Every graph's size is checked first, so a mismatch
+    raises GraphError wherever it lies.
+    """
     graphs = list(graphs)
     if not graphs:
         raise GraphError("cannot compound an empty list of graphs")
     acc = graphs[0]
+    n = acc.n
+    for g in graphs:
+        if g.n != n:
+            raise GraphError(f"process count mismatch: {n} vs {g.n}")
+    everyone = (1 << n) - 1
     for g in graphs[1:]:
         acc = compound(acc, g)
+        if acc.ins.count(everyone) == n:
+            break
     return acc
 
 

@@ -58,6 +58,20 @@ def compound_edges(g1: CommGraph, g2: CommGraph) -> frozenset[Edge]:
     )
 
 
+def brute_force_nonsplit(seq: GraphSequence) -> tuple[bool, tuple[int, int, int] | None]:
+    """Pairwise non-split oracle over edge sets: in every round, every pair
+    p < q shares an in-neighbour, self-loops included. Returns (ok, first
+    failing (round, p, q) in round, then p, then q order, or None)."""
+    n = seq.n
+    for r, g in enumerate(seq.graphs, start=1):
+        ins = [{u for u, v in g.edges if v == w} | {w} for w in range(n)]
+        for p in range(n):
+            for q in range(p + 1, n):
+                if not ins[p] & ins[q]:
+                    return False, (r, p, q)
+    return True, None
+
+
 def check_information_propagation(graphs: list[CommGraph], X: set[int]) -> bool:
     """Any set hitting every root influences everyone within n rooted rounds.
 

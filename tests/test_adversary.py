@@ -29,7 +29,8 @@ from rootsim.graphs import (
 from rootsim.algorithms import LockingConsensus
 from rootsim.engine import run
 
-from oracles import views_equal_until
+from conftest import random_graph
+from oracles import brute_force_nonsplit, views_equal_until
 
 
 def g(n, edges):
@@ -100,6 +101,28 @@ class TestCheckers:
         ok, witness = check_nonsplit(GraphSequence(2, (g(2, []),)))
         assert not ok
         assert witness[0] == 1  # violating round
+
+    def test_nonsplit_matches_brute_force(self):
+        # The first `covered` rounds of each sequence get a star on top, so
+        # a common in-neighbour covers them and the shortcut skips them; a
+        # later round may still split, and its witness must be the first.
+        rng = random.Random(77)
+        late_splits = 0
+        for _ in range(400):
+            n = rng.randint(2, 7)
+            rounds = rng.randint(1, 8)
+            covered = rng.randint(0, rounds)
+            graphs = []
+            for r in range(rounds):
+                h = random_graph(rng, n, rng.choice([0.1, 0.4, 0.8]))
+                if r < covered:
+                    h = CommGraph(n, h.edges | star(rng.randrange(n), n).edges)
+                graphs.append(h)
+            seq = GraphSequence(n, tuple(graphs))
+            expected = brute_force_nonsplit(seq)
+            assert check_nonsplit(seq) == expected, (n, covered, expected)
+            late_splits += covered > 0 and not expected[0] and expected[1][0] > covered
+        assert late_splits >= 20
 
     def test_star_window_two_stars(self):
         seq = GraphSequence(3, (star(0, 3), star(0, 3)))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rootsim import adversary, cli, verification
-from rootsim.algorithms import LockingConsensus, LockState, VotingConsensus, value_of_root
+from rootsim.algorithms import LockingConsensus, LockState, VoteState, VotingConsensus, value_of_root
 from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, star
 
@@ -124,15 +124,19 @@ class TestMutations:
         assert verification.check_locked_root_convergence(mutated, 1, 3)
 
 
+def vote_msg(vote: int | None, proposal: int) -> VoteState:
+    return VoteState(proposal=proposal, vote=vote, decided=False, decision=None)
+
+
 class TestValueOfRoot:
     def test_pending_vote_wins(self):
-        assert value_of_root(frozenset({0, 1}), {0: (None, 3), 1: (5, 9)}) == 5
+        assert value_of_root(frozenset({0, 1}), {0: vote_msg(None, 3), 1: vote_msg(5, 9)}) == 5
 
     def test_max_proposal_when_no_votes(self):
-        assert value_of_root(frozenset({0, 1}), {0: (None, 3), 1: (None, 7)}) == 7
+        assert value_of_root(frozenset({0, 1}), {0: vote_msg(None, 3), 1: vote_msg(None, 7)}) == 7
 
     def test_singleton(self):
-        assert value_of_root(frozenset({0}), {0: (None, 2)}) == 2
+        assert value_of_root(frozenset({0}), {0: vote_msg(None, 2)}) == 2
 
 
 class TestVoting:

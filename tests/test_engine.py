@@ -196,21 +196,22 @@ class TestLastHeard:
         def hook(state, view, r):
             if view.owner == 0 and r == 1:
                 captured["lastround"] = list(view.lastround)
-                captured["senders"] = [(q, s) for q, s, _ in view.newest(0)]
+                captured["senders"] = [q for q, s in enumerate(view.lastround) if s == r - 1]
 
         run(Probe(hook), [0, 1], GraphSequence(2, (g(2, []),)))
-        assert captured == {"lastround": [0, NEVER], "senders": [(0, 0)]}
+        assert captured == {"lastround": [0, NEVER], "senders": [0]}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_newest_previous_round_states_are_the_senders(self, seed):
-        # The round-r senders are exactly the processes whose newest known
-        # state is their round-(r-1) one: no merged entry passes r-2.
+        # The round-r senders are exactly the processes whose row entry is
+        # r-1, their newest known state being their round-(r-1) one: no
+        # merged entry passes r-2.
         rng = random.Random(300 + seed)
         seq = random_sequence(rng, rng.randint(2, 7), 10, density=rng.choice([0.15, 0.4, 0.8]))
         seen = {}
 
         def hook(state, view, r):
-            seen[view.owner, r] = [q for q, _, _ in view.newest(r - 1)]
+            seen[view.owner, r] = [q for q, s in enumerate(view.lastround) if s == r - 1]
 
         run(Probe(hook), list(range(seq.n)), seq)
         assert len(seen) == seq.n * len(seq)

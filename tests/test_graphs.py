@@ -1,9 +1,12 @@
+import functools
 import io
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rootsim import graphs as graphs_module
 from rootsim.graphs import (
     CommGraph,
     GraphError,
@@ -173,6 +176,41 @@ class TestCompound:
     def test_compound_all_star_chain(self):
         result = compound_all([star(0, 3), star(1, 3)])
         assert (0, 2) in result.edges  # 0 -> 1 -> 2 across the pair
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_compound_all_matches_the_full_fold(self, n, monkeypatch):
+        # Dense blocks turn complete after a few graphs, and the fold must
+        # stop right there; sparse ones never do and fold to the end.
+        rng = random.Random(600 + n)
+        complete = ((1 << n) - 1,) * n
+        calls = []
+
+        def counted(g1, g2):
+            calls.append(1)
+            return compound(g1, g2)
+
+        monkeypatch.setattr(graphs_module, "compound", counted)
+        stopped_early = never_complete = 0
+        for density in (0.0, 0.5 / n, 0.3, 0.6, 0.9):
+            for _ in range(12):
+                block = [random_graph(rng, n, density) for _ in range(rng.randint(1, 2 * n))]
+                prefixes = list(itertools.accumulate(block, compound))
+                # The fold checks each product it makes, so it makes one
+                # at least whenever there are two graphs.
+                first_complete = next(
+                    (i for i in range(1, len(block)) if prefixes[i].ins == complete), len(block) - 1
+                )
+                calls.clear()
+                assert compound_all(block) == functools.reduce(compound, block)
+                assert len(calls) == first_complete
+                stopped_early += first_complete < len(block) - 1
+                never_complete += prefixes[-1].ins != complete
+        assert stopped_early >= 10 and never_complete >= 10
+
+    def test_compound_all_checks_sizes_past_completeness(self):
+        complete = g(3, [(u, v) for u in range(3) for v in range(3)])
+        with pytest.raises(GraphError, match="process count mismatch: 3 vs 4"):
+            compound_all([complete, star(0, 3), g(4, [])])
 
 
 class TestStar:

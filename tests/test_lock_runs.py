@@ -141,7 +141,6 @@ def test_run_walk_matches_window_scans(executions):
 
                 lo2 = max(0, r - N * (D + 2 * N))
                 heard = [q for q in range(n) if q == p or known[q] >= lo2]
-                assert [(q, s) for q, s, _ in view.newest(lo2)] == [(q, newest_round[q]) for q in heard]
                 assert scan_recent(view, lo) == scanned_locked, (p, r)
                 for v in set(inputs):
                     scanned = [s for w in window for s, k in enumerate(w, start=lo) if k != v]
