@@ -19,6 +19,7 @@ from .graphs import (
     CommGraph,
     GraphError,
     GraphSequence,
+    _reaches_all,
     causal_past,
     compound_all,
     maximal_runs,
@@ -314,7 +315,20 @@ def generate_rooted(n: int, horizon: int, seed: int, stable_len: int = 0) -> Gra
     No diameter constraint beyond the one every rooted sequence satisfies
     automatically (n-1 rounds always suffice for a stable root's information
     to spread).
+
+    Each round is checked as it is drawn: one member of its designated root
+    must reach every process, so the graph has exactly one root component,
+    and it holds that member; a round that fails raises GenerationError
+    naming it. The check searches for no root component, so the roots of
+    the returned sequence are computed only when a caller reads them.
+
+    n < 1, a negative `stable_len` or one longer than `horizon` raise
+    ValueError before the first draw.
     """
+    if n < 1:
+        raise ValueError(f"generating a sequence needs n >= 1, got n={n}")
+    if stable_len < 0:
+        raise ValueError(f"the stable-window length must be >= 0, got stable_len={stable_len}")
     if stable_len > horizon:
         raise ValueError(f"a stable window of {stable_len} rounds exceeds horizon {horizon}")
     rng = random.Random(seed)
@@ -325,6 +339,7 @@ def generate_rooted(n: int, horizon: int, seed: int, stable_len: int = 0) -> Gra
         b = a + stable_len - 1
         window_root = _random_root_set(rng, n)
 
+    everyone = (1 << n) - 1
     graphs: list[CommGraph] = []
     prev_root: frozenset[int] | None = None
     for r in range(1, horizon + 1):
@@ -333,12 +348,15 @@ def generate_rooted(n: int, horizon: int, seed: int, stable_len: int = 0) -> Gra
         else:
             forbid = (prev_root, window_root) if r in (a - 1, b + 1) else (prev_root,)
             root = _random_root_set(rng, n, *forbid)
-        graphs.append(_random_rooted_graph(rng, n, root, density=0.25))
+        g = _random_rooted_graph(rng, n, root, density=0.25)
+        # A process that reaches everyone lies in every root component,
+        # so there is exactly one, and it holds the designated root's member.
+        bit = 1 << min(root)
+        if not _reaches_all(g.ins, bit, everyone ^ bit):
+            raise GenerationError(f"generated round {r} is not rooted at its designated root {sorted(root)}")
+        graphs.append(g)
         prev_root = root
-    seq = GraphSequence(n, tuple(graphs))
-    if None in seq.roots:
-        raise GenerationError("generated sequence has an unrooted round")
-    return seq
+    return GraphSequence(n, tuple(graphs))
 
 
 # ---------------------------------------------------------------------------

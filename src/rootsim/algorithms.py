@@ -290,7 +290,10 @@ class LockingConsensus:
                 decided, decision = True, proposal
 
         key = proposal if locked else None
-        return LockState(proposal, locked, lockround, queue, decided, decision, d if key == k else r - 1, root)
+        # tuple.__new__ skips the keyword handling of LockState(...).
+        return tuple.__new__(
+            LockState, (proposal, locked, lockround, queue, decided, decision, d if key == k else r - 1, root)
+        )
 
 
 def value_of_root(root: frozenset[int], messages: dict[int, VoteState]) -> int:

@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
-from .graphs import GraphSequence, members
+from .graphs import GraphSequence
 
 NEVER = -1
 
@@ -172,11 +172,15 @@ def run(
                 continue
             # No sent row holds a round past r-2, so a sender's own entry
             # can be set as soon as its row is merged.
-            senders = members(mask)
-            q = next(senders)
+            low = mask & -mask
+            q = low.bit_length() - 1
             row = list(sent[q])
             row[q] = newest
-            for q in senders:
+            rest = mask ^ low
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                q = low.bit_length() - 1
                 other = sent[q]
                 for i in range(n):
                     if other[i] > row[i]:

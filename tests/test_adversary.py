@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -249,6 +250,61 @@ class TestGenerateStable:
     def test_out_of_range_argument_rejected(self, n, D, x, start, horizon):
         with pytest.raises(ValueError):
             generate_stable(n, D, x, start, horizon, 0)
+
+
+class TestGenerateRooted:
+    # sha256 of repr([g.ins for g in seq.graphs]) for generate_rooted(n,
+    # horizon, seed, stable_len). They pin the random stream: a draw added,
+    # dropped or reordered changes the graphs and every voting digest.
+    DIGESTS = {
+        (2, 12, 0, 0): "f6c8363e163f3b71e5f231e21b6a19887336e982bcd5074520c57805698b62a3",
+        (4, 27, 3, 9): "f637d5977e5795c419475af61790c32189c930fa94241ecba1d2a6c5a30176e1",
+        (9, 48, 7, 24): "1c26265e96414ee013b2384959ba09820af2aa744733cf0c5387124c2a123c8f",
+        (16, 135, 1, 45): "3f07581df7eb59c74656d6a1262073a8282cf87089e51772156f567be3d504bb",
+    }
+
+    @pytest.mark.parametrize("n,horizon,seed,stable_len", sorted(DIGESTS))
+    def test_stream_is_pinned(self, n, horizon, seed, stable_len):
+        seq = generate_rooted(n, horizon, seed, stable_len=stable_len)
+        digest = hashlib.sha256(repr([g.ins for g in seq.graphs]).encode()).hexdigest()
+        assert digest == self.DIGESTS[n, horizon, seed, stable_len]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("windowed", [False, True], ids=["no-window", "window"])
+    def test_every_round_rooted(self, n, windowed):
+        for seed in range(40):
+            stable_len = n - 1 if windowed else 0
+            seq = generate_rooted(n, 4 * (n - 1), seed, stable_len=stable_len)
+            assert None not in seq.roots, (n, seed)
+
+    def test_round_with_split_root_rejected(self, monkeypatch):
+        # Each designated root member is a root component of its own, and
+        # every other process hears all of them: the root mask as a whole
+        # reaches everyone, but with two or more members the round has as
+        # many root components and is not rooted.
+        drawn = []
+
+        def split_root(rng, n, root, density, broadcast=False):
+            drawn.append(root)
+            mask = sum(1 << p for p in root)
+            return CommGraph.from_ins([1 << v if v in root else 1 << v | mask for v in range(n)])
+
+        monkeypatch.setattr(adversary, "_random_rooted_graph", split_root)
+        with pytest.raises(GenerationError) as info:
+            generate_rooted(4, 40, 0)
+        assert f"round {len(drawn)} " in str(info.value)
+        *rooted, split = drawn
+        assert len(split) >= 2 and all(len(root) == 1 for root in rooted)
+        assert GraphSequence(4, (split_root(None, 4, split, 0.25),)).roots == (None,)
+
+    @pytest.mark.parametrize(
+        "n,horizon,stable_len",
+        [(0, 10, 0), (-1, 10, 0), (4, 10, -2), (4, 10, 11)],
+        ids=["n-zero", "n-negative", "stable-len-negative", "stable-len-above-horizon"],
+    )
+    def test_out_of_range_argument_rejected(self, n, horizon, stable_len):
+        with pytest.raises(ValueError, match=str(stable_len if n >= 1 else n)):
+            generate_rooted(n, horizon, 0, stable_len=stable_len)
 
 
 class TestScenarios:

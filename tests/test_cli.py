@@ -683,6 +683,22 @@ def test_run_once_computes_each_round_root_once(monkeypatch):
     assert len(graphs_seen) == len(exec_.seq)
 
 
+def test_voting_run_once_computes_each_compound_root_once(monkeypatch):
+    # Generation checks its base rounds without a root search, so the only
+    # roots computed are those of the compound rounds the engine runs on.
+    graphs_seen = []
+    original = graphs.root_components
+
+    def counting(g):
+        graphs_seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "root_components", counting)
+    exec_, verdict = cli.run_once({"algorithm": "voting", "n": 5}, 3)
+    assert verdict.ok
+    assert len(graphs_seen) == len(exec_.seq)
+
+
 @pytest.mark.parametrize("n,D,seed", [(2, 1, 0), (4, 2, 3), (5, 4, 7)])
 def test_run_once_places_window_by_window_start(n, D, seed):
     x = D + 1
