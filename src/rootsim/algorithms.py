@@ -30,8 +30,8 @@ class LockQueue:
     a prefix, so every queue a process holds is a slice of the list that
     its initial state created; a state stores the bounds, not a copy. A
     queue is never mutated: `append` and `drop_through` return new ones.
-    It compares and hashes like the tuple of its rounds, and equal to that
-    tuple, so a hand-built LockState may hold a plain tuple."""
+    Two queues are equal if they hold the same rounds; a queue equals no
+    tuple."""
 
     __slots__ = ("log", "lo", "hi")
 
@@ -58,8 +58,6 @@ class LockQueue:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LockQueue):
             return self.log[self.lo : self.hi] == other.log[other.lo : other.hi]
-        if isinstance(other, tuple):
-            return tuple(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -100,17 +98,16 @@ class LockState(NamedTuple):
     senders' keys differ (`sender_dissent`).
 
     `dissent` is derived bookkeeping and is not traced. A hand-built
-    state has `dissent` NEVER; like a tuple of rounds as its `queue` (any
-    tuple serves where a LockQueue is expected), it serves only where no
-    round computation steps it or reads it as a sender. `detected` is the
-    root component of the round r-D graph that the process detected in
-    its round-r computation, or None."""
+    state has `dissent` NEVER, so it serves only where no round
+    computation reads it as a sender. `decision` is the decided value, or
+    None while undecided. `detected` is the root component of the round
+    r-D graph that the process detected in its round-r computation, or
+    None."""
 
     proposal: int
     locked: bool
     lockround: int
-    queue: LockQueue | tuple[int, ...]
-    decided: bool
+    queue: LockQueue
     decision: int | None
     dissent: int = NEVER
     detected: frozenset[int] | None = None
@@ -154,12 +151,12 @@ def sender_dissent(view: ProcessView) -> tuple[int | None, int]:
 
 
 class VoteState(NamedTuple):
-    """One process's voting state; `detected` is the root component of the
-    round r-1 graph that it detected in its round-r computation, or None."""
+    """One process's voting state. `decision` is the decided value, or None
+    while undecided; `detected` is the root component of the round r-1
+    graph that it detected in its round-r computation, or None."""
 
     proposal: int
     vote: int | None
-    decided: bool
     decision: int | None
     detected: frozenset[int] | None = None
 
@@ -213,9 +210,7 @@ class LockingConsensus:
         self.decide_rule = decide_rule
 
     def initial_state(self, pid: int, x: int) -> LockState:
-        return LockState(
-            proposal=x, locked=True, lockround=1, queue=LockQueue([], 0, 0), decided=False, decision=None
-        )
+        return LockState(proposal=x, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=None)
 
     def trace_fields(self, state: LockState) -> dict[str, Any]:
         return {
@@ -223,14 +218,14 @@ class LockingConsensus:
             "locked": state.locked,
             "lockround": state.lockround,
             "queue": list(state.queue),
-            "decided": state.decided,
+            "decided": state.decision is not None,
             "decision": state.decision,
             "detected_root": sorted(state.detected) if state.detected is not None else None,
         }
 
     def step(self, state: LockState, view: ProcessView) -> LockState:
         N, D, r = self.N, self.D, view.round
-        proposal, locked, lockround, queue, decided, decision, _, _ = state
+        proposal, locked, lockround, queue, decision, _, _ = state
         # The latest known state whose key differs from v is of round d if
         # v == k, else of round r-1.
         k, d = sender_dissent(view)
@@ -283,16 +278,16 @@ class LockingConsensus:
                     (proposal,) = locked_values
 
         due = lockround + self.decide_span
-        if not decided and (r >= due if self.decide_rule == "sliding" else r == due):
+        if decision is None and (r >= due if self.decide_rule == "sliding" else r == due):
             # Every known state of the lookback holds our locked proposal.
             # The lookback starts at r - decide_span >= lockround >= 1.
             if (d if proposal == k else r - 1) < r - self.decide_span:
-                decided, decision = True, proposal
+                decision = proposal
 
         key = proposal if locked else None
         # tuple.__new__ skips the keyword handling of LockState(...).
         return tuple.__new__(
-            LockState, (proposal, locked, lockround, queue, decided, decision, d if key == k else r - 1, root)
+            LockState, (proposal, locked, lockround, queue, decision, d if key == k else r - 1, root)
         )
 
 
@@ -315,7 +310,7 @@ class VotingConsensus:
     """Voting consensus for non-split compound sequences."""
 
     def initial_state(self, pid: int, x: int) -> VoteState:
-        return VoteState(proposal=x, vote=None, decided=False, decision=None)
+        return VoteState(proposal=x, vote=None, decision=None)
 
     def trace_fields(self, state: VoteState) -> dict[str, Any]:
         return {
@@ -323,7 +318,7 @@ class VotingConsensus:
             "locked": None,
             "lockround": None,
             "queue": [],
-            "decided": state.decided,
+            "decided": state.decision is not None,
             "decision": state.decision,
             "vote": state.vote,
             "detected_root": sorted(state.detected) if state.detected is not None else None,
@@ -331,7 +326,7 @@ class VotingConsensus:
 
     def step(self, state: VoteState, view: ProcessView) -> VoteState:
         _, r, row, states, _, _ = view
-        proposal, vote, decided, decision, _ = state
+        proposal, vote, decision, _ = state
         # The round-r messages are the senders' round-(r-1) states, and the
         # senders are the processes whose row entry is r-1.
         r1 = r - 1
@@ -343,16 +338,16 @@ class VotingConsensus:
             (v,) = votes
             proposal = v
             vote = v
-            if not decided:
-                decided, decision = True, v
-            return VoteState(proposal, vote, decided, decision, prev_root)
+            if decision is None:
+                decision = v
+            return VoteState(proposal, vote, decision, prev_root)
 
         if prev_root is not None:
             dictated = value_of_root(prev_root, messages)
-            return VoteState(dictated, dictated, decided, decision, prev_root)
+            return VoteState(dictated, dictated, decision, prev_root)
 
         # Adopt the pending vote of the lowest sender that has one.
         pending = next((st.vote for st in messages.values() if st.vote is not None), None)
         if pending is not None:
-            return VoteState(pending, None, decided, decision, prev_root)
-        return VoteState(proposal, None, decided, decision, prev_root)
+            return VoteState(pending, None, decision, prev_root)
+        return VoteState(proposal, None, decision, prev_root)

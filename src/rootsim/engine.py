@@ -47,7 +47,9 @@ class EngineError(RuntimeError):
 
 class Algorithm(Protocol):
     """The behavior the engine drives. An instance holds only parameters,
-    so one instance can drive any number of executions."""
+    so one instance can drive any number of executions. The only state
+    attribute the engine reads is `decision`: once it is not None, it is
+    final, and every later state of the process must carry it."""
 
     def initial_state(self, pid: int, x: int) -> Any: ...
 
@@ -200,9 +202,9 @@ def run(
                 raise
             except Exception as exc:  # pragma: no cover - contract breach path
                 raise EngineError(f"algorithm failed at round {r}, process {p}: {exc}") from exc
-            if getattr(old, "decided", False):
-                if not getattr(new_state, "decided", False) or new_state.decision != old.decision:
-                    raise EngineError(f"process {p} revoked its decision at round {r}")
+            decision = getattr(old, "decision", None)
+            if decision is not None and getattr(new_state, "decision", None) != decision:
+                raise EngineError(f"process {p} revoked its decision at round {r}")
             states[p].append(new_state)
         lastrounds.append(views)
         sent = views

@@ -55,7 +55,7 @@ def decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
     """(value, round) of p's decision, or (None, None)."""
     for r in range(1, exec_.rounds + 1):
         st = exec_.states[p][r]
-        if st.decided:
+        if st.decision is not None:
             return st.decision, r
     return None, None
 
@@ -194,7 +194,7 @@ def check_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
     for r in range(1, exec_.rounds + 1):
         for p in range(exec_.n):
             st = exec_.states[p][r]
-            if st.decided and first_round is None:
+            if st.decision is not None and first_round is None:
                 first_round, value = r, st.decision
     if first_round is None:
         return []

@@ -170,7 +170,7 @@ def test_criterion_6_voting():
             second_graph = stars[0][0] + 1
             for p in range(n):
                 first = next(
-                    (r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decided),
+                    (r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decision is not None),
                     None,
                 )
                 if first is None or first > second_graph + 2:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rootsim import adversary, cli, verification
-from rootsim.algorithms import LockingConsensus, LockState, VoteState, VotingConsensus, value_of_root
+from rootsim.algorithms import LockingConsensus, LockQueue, LockState, VoteState, VotingConsensus, value_of_root
 from rootsim.engine import run
 from rootsim.graphs import CommGraph, GraphSequence, star
 
@@ -19,9 +19,14 @@ class TestLockingBasics:
     def test_initial_state(self):
         algo = LockingConsensus(N=3, D=1)
         state = algo.initial_state(0, 7)
-        assert state == LockState(
-            proposal=7, locked=True, lockround=1, queue=(), decided=False, decision=None
-        )
+        assert state == LockState(proposal=7, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=None)
+
+    def test_state_records_hold_each_fact_once(self):
+        # A decision is its value; no second field says whether there is one.
+        assert LockState._fields == ("proposal", "locked", "lockround", "queue", "decision", "dissent", "detected")
+        assert VoteState._fields == ("proposal", "vote", "decision", "detected")
+        for state in (LockingConsensus(N=2, D=1).initial_state(0, 0), VotingConsensus().initial_state(0, 0)):
+            assert not hasattr(state, "decided")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -37,7 +42,7 @@ class TestLockingBasics:
         deadline = 1 + N * (D + 2 * N)
         seq = GraphSequence(1, (g(1, []),) * (deadline + 2))
         exec_ = run(algo, [42], seq)
-        first = next(r for r in range(1, exec_.rounds + 1) if exec_.states[0][r].decided)
+        first = next(r for r in range(1, exec_.rounds + 1) if exec_.states[0][r].decision is not None)
         assert first == deadline
         assert exec_.states[0][first].decision == 42
 
@@ -125,7 +130,7 @@ class TestMutations:
 
 
 def vote_msg(vote: int | None, proposal: int) -> VoteState:
-    return VoteState(proposal=proposal, vote=vote, decided=False, decision=None)
+    return VoteState(proposal=proposal, vote=vote, decision=None)
 
 
 class TestValueOfRoot:
@@ -146,16 +151,25 @@ class TestVoting:
         seq = GraphSequence(3, (star(0, 3),) * 4)
         exec_ = run(VotingConsensus(), [6, 1, 2], seq)
         for p in range(3):
-            decided = [r for r in range(1, 5) if exec_.states[p][r].decided]
+            decided = [r for r in range(1, 5) if exec_.states[p][r].decision is not None]
             assert decided and decided[0] == 3
             assert exec_.states[p][4].decision == 6
+
+    def test_decision_zero_is_traced_as_decided(self):
+        seq = GraphSequence(3, (star(0, 3),) * 4)
+        exec_ = run(VotingConsensus(), [0, 0, 0], seq)
+        assert [verification.decision_of(exec_, p) for p in range(3)] == [(0, 3)] * 3
+        lines = [line for line in exec_.trace_lines() if line["pid"] == 0]
+        assert [(line["decided"], line["decision"]) for line in lines] == [
+            (False, None), (False, None), (True, 0), (True, 0)
+        ]
 
     def test_no_information_keeps_waiting(self):
         # A rooted but uninformative chain: until some root is detectable
         # or a vote circulates, processes keep voting "undecided".
         seq = GraphSequence(3, (g(3, [(0, 1), (1, 2)]),) * 2)
         exec_ = run(VotingConsensus(), [4, 5, 6], seq)
-        assert not any(exec_.states[p][2].decided for p in (1, 2))
+        assert all(exec_.states[p][2].decision is None for p in (1, 2))
 
     def test_sweep_agreement_and_validity(self):
         for seed in range(20):

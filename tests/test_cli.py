@@ -66,6 +66,10 @@ class TestBadInput:
             ["run", "--algorithm", "voting", "--n", "4", "--horizon", "2"],
             ["run", "--algorithm", "voting", "--n", "4", "--horizon", "8"],
             ["sweep", "--algorithm", "voting", "--n", "4", "--horizon", "3", "--trials", "2"],
+            ["run", "--n", "3", "--D", "3"],
+            ["run", "--n", "3", "--D", "0"],
+            ["run"],
+            ["run", "--algorithm", "voting", "--n", "1"],
         ],
     )
     def test_exit_two_with_one_error_line(self, argv, capsys):
@@ -256,6 +260,18 @@ class TestSweep:
 
     def test_zero_trials(self):
         assert main(["sweep", "--algorithm", "locking", "--n", "3", "--trials", "0"]) == 2
+
+    def test_failing_trial_recorded_against_its_seed(self, capsys):
+        # A window of x = 1 round is shorter than D + 1 = 3: seed 2's
+        # processes have not decided by the deadline.
+        assert main(["sweep", "--n", "3", "--trials", "3", "--x", "1"]) == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["passed"], summary["failed"], summary["crashed"]) == (2, 1, 0)
+        (failure,) = summary["failures"]
+        verdict = failure["verdict"]
+        assert failure["seed"] == 2
+        assert verdict["termination"] is False and verdict["undecided"] == [0, 1, 2]
+        assert verdict["deadline"] == 27 and verdict["invariant_failures"] == []
 
     def test_unexpected_exception_recorded_against_its_seed(self, monkeypatch, capsys):
         original = cli.run_once
@@ -661,7 +677,7 @@ class TestDerivedConstants:
             second_graph = stars[0][0] + 1
             for p in range(4):
                 first = next(
-                    r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decided
+                    r for r in range(1, exec_.rounds + 1) if exec_.states[p][r].decision is not None
                 )
                 offsets.append(first - second_graph)
         assert max(offsets) == verification.VOTING_DECISION_OFFSET

@@ -1,4 +1,5 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -271,6 +272,27 @@ class TestViewsEqualUntil:
             views_equal_until(exec_, exec_, 0, 4)
 
 
+class FlakyState(NamedTuple):
+    decision: int | None
+
+
+class Flaky:
+    """Starts decided on its input; each step's decision is `next_decision`
+    of the old state."""
+
+    def __init__(self, next_decision):
+        self.next_decision = next_decision
+
+    def initial_state(self, pid, x):
+        return FlakyState(decision=x)
+
+    def step(self, state, view):
+        return FlakyState(decision=self.next_decision(state))
+
+    def trace_fields(self, state):
+        return {}
+
+
 class TestContracts:
     def test_wrong_input_count(self):
         seq = random_sequence(random.Random(0), 3, 3)
@@ -278,25 +300,18 @@ class TestContracts:
             run(Probe(), [0, 1], seq)
 
     def test_decision_revocation_rejected(self):
-        class Flaky:
-            def initial_state(self, pid, x):
-                return FlakyState(decided=True, decision=x)
-
-            def step(self, state, view):
-                return FlakyState(decided=False, decision=None)
-
-            def trace_fields(self, state):
-                return {}
-
-        from typing import NamedTuple
-
-        class FlakyState(NamedTuple):
-            decided: bool
-            decision: int | None
-
+        # Every process starts decided on 0, a falsy value that is still a
+        # decision, and drops it in round 1.
         seq = GraphSequence(2, (g(2, []),))
-        with pytest.raises(EngineError):
-            run(Flaky(), [0, 1], seq)
+        with pytest.raises(EngineError, match="process 0 revoked its decision at round 1"):
+            run(Flaky(lambda state: None), [0, 0], seq)
+
+    def test_changed_decision_rejected_and_kept_decision_accepted(self):
+        seq = GraphSequence(2, (g(2, []),) * 2)
+        with pytest.raises(EngineError, match="process 0 revoked its decision at round 1"):
+            run(Flaky(lambda state: state.decision + 1), [0, 0], seq)
+        exec_ = run(Flaky(lambda state: state.decision), [0, 0], seq)
+        assert [st.decision for st in exec_.states[0]] == [0, 0, 0]
 
     def test_own_state_readable_up_to_previous_round(self):
         results = {}

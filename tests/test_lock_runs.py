@@ -159,8 +159,8 @@ def test_unanimous_adoption_walks_from_round_r_minus_N():
     # only unanimous adoption can move process 0, and only a walk that
     # starts at round r - N finds the value.
     N, r, queue = 2, 6, LockQueue([], 0, 0)
-    unlocked = LockState(0, False, 1, queue, False, None)
-    locked = LockState(7, True, 1, queue, False, None)
+    unlocked = LockState(proposal=0, locked=False, lockround=1, queue=queue, decision=None)
+    locked = LockState(proposal=7, locked=True, lockround=1, queue=queue, decision=None)
     states = [[unlocked] * r, [locked] * (r - N + 1)]
     view = ProcessView(0, r, (r - 1, r - N), states, (frozenset({frozenset({1})}),) * r, {})
     assert scan_recent(view, r - N) == {7}
@@ -206,14 +206,15 @@ def test_queue_window_acts_as_its_tuple():
         hi = rng.randrange(lo, len(log) + 1)
         q, t = LockQueue(log, lo, hi), tuple(log[lo:hi])
         assert len(q) == len(t) and bool(q) == bool(t) and tuple(q) == t and list(q) == list(t)
-        assert q == t and t == q and hash(q) == hash(t)
-        assert q == LockQueue(list(t), 0, len(t))
-        assert q != t + (99,)
+        # A queue equals the queues with its rounds, and no tuple.
+        assert q != t and t != q
+        assert q == LockQueue(list(t), 0, len(t)) and hash(q) == hash(LockQueue(list(t), 0, len(t)))
+        assert q != LockQueue([*t, 99], 0, len(t) + 1)
         if hi < len(log):
             assert q != LockQueue(log, lo, hi + 1)
         for x in range(0, 61):
             assert (x in q) == (x in t)
-            assert q.drop_through(x) == tuple(u for u in t if u > x)
+            assert tuple(q.drop_through(x)) == tuple(u for u in t if u > x)
         if t:
             assert (q[0], q[-1]) == (t[0], t[-1])
             for i in range(-len(t), len(t)):

@@ -3,12 +3,13 @@ import json
 import pytest
 
 from rootsim import adversary, cli, verification
-from rootsim.algorithms import LockingConsensus, LockState, VotingConsensus
+from rootsim.algorithms import LockingConsensus, LockQueue, LockState, VotingConsensus
 from rootsim.engine import Execution, run
 from rootsim.graphs import CommGraph, GraphSequence, star
 from rootsim.verification import (
     check_agreement_stability,
     check_consensus,
+    check_detection_completeness,
     check_detection_soundness,
     check_post_window_lock,
     track_v_locked_windows,
@@ -35,27 +36,27 @@ def make_exec(inputs, rows):
         seq=seq,
         states=[list(r) for r in rows],
         lastrounds=[tuple((0,) * n for _ in range(n))] * rounds,
-        trace_fields=lambda s: {"proposal": s.proposal, "decided": s.decided},
+        trace_fields=lambda s: {"proposal": s.proposal, "decided": s.decision is not None},
     )
 
 
-def locked(v, decided=False, decision=None):
-    return LockState(v, True, 1, (), decided, decision)
+def locked(v, decision=None):
+    return LockState(proposal=v, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=decision)
 
 
 class TestCheckConsensus:
     def test_all_pass(self):
         rows = [
-            [locked(5), locked(5), locked(5, True, 5)],
-            [locked(5), locked(5, True, 5), locked(5, True, 5)],
+            [locked(5), locked(5), locked(5, 5)],
+            [locked(5), locked(5, 5), locked(5, 5)],
         ]
         verdict = check_consensus(make_exec([5, 0], rows), deadline=2)
         assert verdict.ok and verdict.agreement and verdict.validity and verdict.termination
 
     def test_disagreement_carries_witnesses(self):
         rows = [
-            [locked(3), locked(3, True, 3)],
-            [locked(5), locked(5, True, 5)],
+            [locked(3), locked(3, 3)],
+            [locked(5), locked(5, 5)],
         ]
         verdict = check_consensus(make_exec([3, 5], rows), deadline=1)
         assert not verdict.agreement
@@ -63,18 +64,30 @@ class TestCheckConsensus:
         assert {w["value_a"], w["value_b"]} == {3, 5}
 
     def test_invented_value_fails_validity(self):
-        rows = [[locked(9), locked(9, True, 9)]]
+        rows = [[locked(9), locked(9, 9)]]
         verdict = check_consensus(make_exec([1], rows), deadline=1)
         assert not verdict.validity
 
     def test_decision_after_deadline_counts_as_undecided(self):
-        rows = [[locked(1), locked(1), locked(1, True, 1)]]
+        rows = [[locked(1), locked(1), locked(1, 1)]]
         verdict = check_consensus(make_exec([1], rows), deadline=1)
         assert not verdict.termination
         assert verdict.undecided == [0]
 
+    def test_decision_of_zero_counts(self):
+        # 0 is a decided value like any other.
+        rows = [[locked(0), locked(0, 0), locked(0, 0)], [locked(1), locked(1), locked(1)]]
+        exec_ = make_exec([0, 1], rows)
+        assert [verification.decision_of(exec_, p) for p in range(2)] == [(0, 1), (None, None)]
+        assert check_consensus(exec_, deadline=2).undecided == [1]
+        assert [(f["round"], f["process"], f["decided_value"]) for f in check_agreement_stability(exec_)] == [
+            (1, 1, 0), (2, 1, 0)
+        ]
+        assert LockingConsensus(N=2, D=1).trace_fields(locked(0, 0))["decided"] is True
+        assert LockingConsensus(N=2, D=1).trace_fields(locked(0))["decided"] is False
+
     def test_verdict_json(self):
-        rows = [[locked(1), locked(1, True, 1)]]
+        rows = [[locked(1), locked(1, 1)]]
         data = check_consensus(make_exec([1], rows), deadline=1).to_json()
         assert data["ok"] is True and data["deadline"] == 1
 
@@ -98,7 +111,7 @@ class TestLockedWindows:
             [
                 locked(1),
                 locked(1),
-                LockState(1, False, 1, (), False, None),
+                LockState(proposal=1, locked=False, lockround=1, queue=LockQueue([], 0, 0), decision=None),
                 locked(1),
             ]
         ]
@@ -110,7 +123,7 @@ class TestLockedWindows:
 class TestAgreementStability:
     def test_post_decision_divergence_flagged(self):
         rows = [
-            [locked(1), locked(1, True, 1), locked(1, True, 1)],
+            [locked(1), locked(1, 1), locked(1, 1)],
             [locked(1), locked(1), locked(2)],
         ]
         failures = check_agreement_stability(make_exec([1, 2], rows))
@@ -165,6 +178,38 @@ class TestDetectionSoundness:
         }]
 
 
+class TestDetectionCompleteness:
+    def test_missing_estimate_in_the_window_reported(self):
+        n, D, x = 4, 2, 4
+        seq, window = adversary.generate_stable(n, D, x, 3, 3 + x - 1 + n * (D + 2 * n), 0)
+        a, b, root = window
+        exec_ = run(LockingConsensus(N=n, D=D), [0, 1, 2, 1], seq)
+        assert check_detection_completeness(exec_, window, D) == []
+        r = a + D + 1
+        exec_.states[1][r] = exec_.states[1][r]._replace(detected=None)
+        assert check_detection_completeness(exec_, window, D) == [{
+            "invariant": "estimate-completeness",
+            "round": r,
+            "target_round": r - D,
+            "process": 1,
+            "estimate": None,
+            "expected": sorted(root),
+        }]
+
+    def test_check_stops_at_the_last_round(self):
+        # The run ends at round b - 1, inside the window: the span whose
+        # estimate is due at round b is not checked.
+        n, D, x = 4, 2, 4
+        seq, window = adversary.generate_stable(n, D, x, 3, 3 + x - 1 + n * (D + 2 * n), 0)
+        a, b, root = window
+        prefix = GraphSequence(n, seq.graphs[: b - 1])
+        exec_ = run(LockingConsensus(N=n, D=D), [0, 1, 2, 1], prefix)
+        assert exec_.rounds == b - 1 == a + D
+        assert check_detection_completeness(exec_, window, D) == []
+        exec_.states[0][b - 1] = exec_.states[0][b - 1]._replace(detected=frozenset({n - 1}))
+        assert [(f["round"], f["process"]) for f in check_detection_completeness(exec_, window, D)] == [(b - 1, 0)]
+
+
 class TestPostWindowLock:
     @pytest.mark.parametrize("n,D,seed", [(3, 2, 14), (4, 3, 4), (5, 4, 1)])
     def test_lock_anchored_at_a_plus_D_in_longer_windows(self, n, D, seed):
@@ -182,9 +227,9 @@ class TestPostWindowLock:
     def test_unlocked_state_after_anchor_reported(self):
         # Window rounds 1..2 with root {0} and D = 1: from round 2 on every
         # state must hold a lock on 1 taken at round 2 or with 2 queued.
-        backed = LockState(1, True, 2, (), False, None)
-        queued = LockState(1, True, 1, (2,), False, None)
-        unlocked = LockState(1, False, 2, (), False, None)
+        backed = LockState(proposal=1, locked=True, lockround=2, queue=LockQueue([], 0, 0), decision=None)
+        queued = LockState(proposal=1, locked=True, lockround=1, queue=LockQueue([2], 0, 1), decision=None)
+        unlocked = LockState(proposal=1, locked=False, lockround=2, queue=LockQueue([], 0, 0), decision=None)
         rows = [
             [locked(1), locked(1), backed, queued],
             [locked(1), locked(1), backed, unlocked],
