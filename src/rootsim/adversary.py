@@ -13,15 +13,16 @@ import inspect
 import random
 from functools import reduce
 from operator import and_
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .graphs import (
     CommGraph,
     GraphError,
     GraphSequence,
     _reaches_all,
-    causal_past,
+    _union,
     compound_all,
+    mask_of,
     maximal_runs,
     star,
 )
@@ -36,22 +37,45 @@ def check_diam(seq: GraphSequence, D: int) -> tuple[bool, dict[str, Any] | None]
 
     For each window of D consecutive rounds all rooted with the same root R,
     every process must have all of R in its causal past across the window.
-    Returns (ok, first violation as a dict or None).
+    Returns (ok, first violation as a dict or None), windows in round
+    order and processes in id order. D < 1 raises ValueError.
     """
+    if D < 1:
+        raise ValueError(f"the diameter must be >= 1, got D={D}")
+    graphs = seq.graphs
     for start, end, root in maximal_runs(seq.roots):
+        if end - start + 1 < D:
+            continue
+        root_mask = mask_of(root)
         for r1 in range(start, end - D + 2):
-            hi = r1 + D - 1
-            for p in range(seq.n):
-                cp = causal_past(seq, p, r1 - 1, hi)
-                if not root <= cp:
-                    return False, {
-                        "window_start": r1,
-                        "window_end": hi,
-                        "process": p,
-                        "root": sorted(root),
-                        "missing": sorted(root - cp),
-                    }
+            short = _first_short(graphs[r1 - 1 : r1 - 1 + D], root_mask)
+            if short is not None:
+                p, past = short
+                return False, {
+                    "window_start": r1,
+                    "window_end": r1 + D - 1,
+                    "process": p,
+                    "root": sorted(root),
+                    "missing": sorted(q for q in root if not past >> q & 1),
+                }
     return True, None
+
+
+def _first_short(window: Sequence[CommGraph], root_mask: int) -> tuple[int, int] | None:
+    """The first process whose causal past across `window`, a run of
+    consecutive rounds, misses a member of `root_mask`, as (process, mask
+    of that past); None if every process has all of it.
+
+    The pasts are compounded forward: after round t, p's past is the union
+    of the pasts of p's round-t in-neighbours after round t-1.
+    """
+    past = window[0].ins
+    for g in window[1:]:
+        past = [_union(past, m) for m in g.ins]
+    for p, m in enumerate(past):
+        if root_mask & ~m:
+            return p, m
+    return None
 
 
 def check_nonsplit(seq: GraphSequence) -> tuple[bool, tuple[int, int, int] | None]:
@@ -77,7 +101,7 @@ def check_nonsplit(seq: GraphSequence) -> tuple[bool, tuple[int, int, int] | Non
 
 def _is_broadcast_root(g: CommGraph, root: frozenset[int]) -> bool:
     """Does every root member have an edge to every other process?"""
-    root_mask = sum(1 << p for p in root)
+    root_mask = mask_of(root)
     return all(m & root_mask == root_mask for m in g.ins)
 
 
@@ -197,7 +221,7 @@ def _random_rooted_graph(
             if u != v and coin() < density:
                 ins[v] |= bit
     if broadcast:
-        root_mask = sum(1 << p for p in root)
+        root_mask = mask_of(root)
         ins = [m | root_mask for m in ins]
     return CommGraph.from_ins(ins)
 
@@ -232,7 +256,10 @@ def generate_stable(
     The output is re-validated against what membership needs (every round
     rooted, the diameter property, and the designated window as a maximal
     same-root run); failure raises GenerationError rather than returning
-    an unvalidated sequence.
+    an unvalidated sequence. Each round's designed root is proven to be
+    its graph's unique root component (GraphSequence.with_roots), not
+    searched for, so the returned sequence carries its roots and no root
+    search runs on it.
     """
     if n < 2:
         raise ValueError(f"generating a sequence needs n >= 2, got n={n}")
@@ -253,7 +280,7 @@ def generate_stable(
     window_root = _random_root_set(rng, n, anchor_root, frozenset(range(n)) if n == 2 else None)
 
     graphs: list[CommGraph] = []
-    prev_root: frozenset[int] | None = None
+    roots: list[frozenset[int]] = []
     for r in range(1, horizon + 1):
         in_window = a <= r <= b
         if r == 1:
@@ -269,26 +296,21 @@ def generate_stable(
         elif in_window:
             root = window_root
         else:
-            root = _random_root_set(rng, n, prev_root, window_root)
+            root = _random_root_set(rng, n, roots[-1], window_root)
         g = _random_rooted_graph(rng, n, root, density=0.25, broadcast=(D == 1))
         if r == 2:
             # Round 2's root contains the anchor, which broadcasts so that
             # everyone learns round 1's receive reports this round.
             g = CommGraph.from_ins([m | 1 << anchor for m in g.ins])
         graphs.append(g)
-        prev_root = root
+        roots.append(root)
 
         # Re-draw the newest round until every D-window of same-root rounds
         # ending here satisfies the causal-past requirement.
         if in_window and D > 1 and r - a + 1 >= D:
+            root_mask = mask_of(root)
             for attempt in range(12):
-                seq_so_far = GraphSequence(n, tuple(graphs))
-                r1 = r - D + 1
-                ok = all(
-                    window_root <= causal_past(seq_so_far, p, r1 - 1, r)
-                    for p in range(n)
-                )
-                if ok:
+                if _first_short(graphs[r - D :], root_mask) is None:
                     break
                 density = min(0.9, 0.3 + 0.08 * attempt)
                 graphs[-1] = _random_rooted_graph(
@@ -297,9 +319,10 @@ def generate_stable(
             else:
                 raise GenerationError("diameter constraint unsatisfiable in stable window")
 
-    seq = GraphSequence(n, tuple(graphs))
-    if None in seq.roots:
-        raise GenerationError(f"generated round {seq.roots.index(None) + 1} is not rooted")
+    try:
+        seq = GraphSequence.with_roots(n, graphs, roots)
+    except GraphError as exc:
+        raise GenerationError(f"generated {exc}") from exc
     diam_ok, diam_violation = check_diam(seq, D)
     if not diam_ok:
         raise GenerationError(f"generated sequence violates the diameter property: {diam_violation}")

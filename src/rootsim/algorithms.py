@@ -98,19 +98,19 @@ class LockState(NamedTuple):
     senders' keys differ (`sender_dissent`).
 
     `dissent` is derived bookkeeping and is not traced. A hand-built
-    state has `dissent` NEVER, so it serves only where no round
+    state passes `dissent` NEVER, so it serves only where no round
     computation reads it as a sender. `decision` is the decided value, or
     None while undecided. `detected` is the root component of the round
     r-D graph that the process detected in its round-r computation, or
-    None."""
+    None. No field has a default, so a call must name every one."""
 
     proposal: int
     locked: bool
     lockround: int
     queue: LockQueue
     decision: int | None
-    dissent: int = NEVER
-    detected: frozenset[int] | None = None
+    dissent: int
+    detected: frozenset[int] | None
 
 
 def scan_recent(view: ProcessView, lo: int) -> set[int]:
@@ -158,7 +158,7 @@ class VoteState(NamedTuple):
     proposal: int
     vote: int | None
     decision: int | None
-    detected: frozenset[int] | None = None
+    detected: frozenset[int] | None
 
 
 class LockingConsensus:
@@ -175,8 +175,8 @@ class LockingConsensus:
     rounds; otherwise every recent state holds our locked proposal. When
     it does lie there, it is the backoff cut, and unanimous adoption walks
     every known state of the last N rounds for the locked values among
-    them (`scan_recent`). A hand-built state has `dissent` NEVER, so it
-    serves only where no step reads it as a sender.
+    them (`scan_recent`). A hand-built state passes `dissent` NEVER, so
+    it serves only where no step reads it as a sender.
 
     `decide_span` = N(D+2N) is the paper's termination bound: the decide
     guard is due `decide_span` rounds after the lock round, and its
@@ -210,7 +210,9 @@ class LockingConsensus:
         self.decide_rule = decide_rule
 
     def initial_state(self, pid: int, x: int) -> LockState:
-        return LockState(proposal=x, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=None)
+        return LockState(
+            proposal=x, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=None, dissent=NEVER, detected=None
+        )
 
     def trace_fields(self, state: LockState) -> dict[str, Any]:
         return {
@@ -310,7 +312,7 @@ class VotingConsensus:
     """Voting consensus for non-split compound sequences."""
 
     def initial_state(self, pid: int, x: int) -> VoteState:
-        return VoteState(proposal=x, vote=None, decision=None)
+        return VoteState(proposal=x, vote=None, decision=None, detected=None)
 
     def trace_fields(self, state: VoteState) -> dict[str, Any]:
         return {

@@ -29,6 +29,14 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_of(processes: Iterable[int]) -> int:
+    """The bit mask of a set of process ids; `members` inverts it."""
+    mask = 0
+    for p in processes:
+        mask |= 1 << p
+    return mask
+
+
 @dataclass(frozen=True, init=False)
 class CommGraph:
     """One round's communication graph: edge (u, v) means v hears u.
@@ -203,16 +211,47 @@ class GraphSequence:
             raise GraphError(f"round {r} outside 1..{len(self.graphs)}")
         return self.graphs[r - 1]
 
+    @classmethod
+    def with_roots(cls, n: int, graphs: Sequence[CommGraph], roots: Sequence[frozenset[int]]) -> "GraphSequence":
+        """The sequence of `graphs` whose round-r graph has `roots[r-1]` as
+        its unique root component, proven round by round and stored as
+        root_sets and roots, so that the sequence's roots need no search.
+
+        A set R is the unique root component iff the ancestors of m = min(R)
+        are exactly R and m reaches every process: a process that reaches
+        everyone lies in every root component, and its own component is
+        then its ancestor set. A claim that fails raises GraphError naming
+        its round.
+        """
+        seq = cls(n, tuple(graphs))
+        roots = tuple(roots)
+        if len(roots) != len(seq.graphs):
+            raise GraphError(f"{len(roots)} roots for {len(seq.graphs)} rounds")
+        everyone = (1 << n) - 1
+        for r, (g, root) in enumerate(zip(seq.graphs, roots), start=1):
+            m = min(root) if root else -1
+            if not 0 <= m < n:
+                raise GraphError(f"round {r}: {sorted(root)} is not a set of processes of n={n}")
+            bit = 1 << m
+            if _ancestors(g.ins, m) != mask_of(root) or not _reaches_all(g.ins, bit, everyone ^ bit):
+                raise GraphError(f"round {r}: {sorted(root)} is not the graph's unique root component")
+        # Both are cached_properties: entries in the instance's dict take
+        # their place.
+        seq.__dict__["root_sets"] = tuple(frozenset((root,)) for root in roots)
+        seq.__dict__["roots"] = roots
+        return seq
+
     @cached_property
     def root_sets(self) -> tuple[frozenset[frozenset[int]], ...]:
         """root_sets[r-1] holds every root component of the round-r graph,
-        built on first use."""
+        built on first use, or proven by `with_roots`."""
         return tuple(root_components(g) for g in self.graphs)
 
     @cached_property
     def roots(self) -> tuple[frozenset[int] | None, ...]:
         """roots[r-1] is the unique root component of the round-r graph, or
-        None if it is not rooted, read off root_sets."""
+        None if it is not rooted, read off root_sets or proven by
+        `with_roots`."""
         return tuple(next(iter(rs)) if len(rs) == 1 else None for rs in self.root_sets)
 
 

@@ -4,11 +4,18 @@ All checks run on immutable traces so the engine stays algorithm-agnostic.
 Failures carry replayable witnesses (rounds, processes, values) so a report
 can be re-derived from the trace it came from. `locking_verdict` and
 `voting_verdict` gather each algorithm's checks into its one verdict.
+
+The checkers walk each process's state column, `exec_.states[p]`, with
+slices and `attrgetter` maps, not one (round, process) cell at a time.
+Failures are rare, and each checker puts its own in (round, process)
+order, the order of a walk over cells, rounds outer.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import compress, count, repeat
+from operator import attrgetter, itemgetter, ne
 from typing import TYPE_CHECKING, Any
 
 from . import adversary
@@ -23,6 +30,10 @@ if TYPE_CHECKING:
 # second graph delivers the root's states, the round after spreads the
 # unanimous vote).
 VOTING_DECISION_OFFSET = 1
+
+_proposal = attrgetter("proposal")
+_detected = attrgetter("detected")
+_round = itemgetter("round")
 
 
 @dataclass
@@ -52,9 +63,11 @@ class Verdict:
 
 
 def decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
-    """(value, round) of p's decision, or (None, None)."""
+    """(value, round) of p's decision, or (None, None): the first state of
+    p's column that holds one."""
+    col = exec_.states[p]
     for r in range(1, exec_.rounds + 1):
-        st = exec_.states[p][r]
+        st = col[r]
         if st.decision is not None:
             return st.decision, r
     return None, None
@@ -104,14 +117,20 @@ def track_v_locked_windows(exec_: Execution) -> list[tuple[int, int, int]]:
     A round qualifies if its graph is rooted and every root member's
     end-of-round state has locked = True with one common proposal v.
     """
+    states = exec_.states
     values: list[int | None] = []
     for r, root in enumerate(exec_.seq.roots[: exec_.rounds], start=1):
         value: int | None = None
         if root is not None:
-            states = [exec_.states[q][r] for q in root]
-            proposals = {st.proposal for st in states}
-            if all(st.locked for st in states) and len(proposals) == 1:
-                (value,) = proposals
+            members = iter(root)
+            st = states[next(members)][r]
+            if st.locked:
+                value = st.proposal
+                for q in members:
+                    st = states[q][r]
+                    if not st.locked or st.proposal != value:
+                        value = None
+                        break
         values.append(value)
     return maximal_runs(values)
 
@@ -127,19 +146,17 @@ def check_locked_root_convergence(exec_: Execution, D: int, N: int) -> list[dict
     for start, end, v in track_v_locked_windows(exec_):
         if end - start + 1 < span:
             continue
-        c = start + span - 1
-        for r in range(c, exec_.rounds + 1):
-            for p in range(exec_.n):
-                proposal = exec_.states[p][r].proposal
-                if proposal != v:
-                    failures.append({
-                        "invariant": "locked-root-convergence",
-                        "window": [start, end],
-                        "value": v,
-                        "round": r,
-                        "process": p,
-                        "proposal": proposal,
-                    })
+        failures.extend(
+            {
+                "invariant": "locked-root-convergence",
+                "window": [start, end],
+                "value": v,
+                "round": r,
+                "process": p,
+                "proposal": proposal,
+            }
+            for r, p, proposal in _other_proposals(exec_, start + span - 1, v)
+        )
     return failures
 
 
@@ -161,9 +178,8 @@ def check_post_window_lock(
         return []
     v = max(exec_.states[q][a].proposal for q in root)
     failures: list[dict[str, Any]] = []
-    for r in range(c, exec_.rounds + 1):
-        for p in range(exec_.n):
-            st = exec_.states[p][r]
+    for p, col in enumerate(exec_.states):
+        for r, st in enumerate(col[c : exec_.rounds + 1], start=c):
             ok = (
                 st.locked
                 and st.proposal == v
@@ -185,33 +201,44 @@ def check_post_window_lock(
                     "window": [a, b],
                     "lock_round": c,
                 })
+    failures.sort(key=_round)
     return failures
 
 
 def check_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
-    """Once any process decides v, every proposal from that round on is v."""
+    """Once any process decides v, every proposal from that round on is v.
+
+    The first decision is the earliest round's, of the lowest process
+    among those deciding in it."""
     first_round, value = None, None
-    for r in range(1, exec_.rounds + 1):
-        for p in range(exec_.n):
-            st = exec_.states[p][r]
-            if st.decision is not None and first_round is None:
-                first_round, value = r, st.decision
+    for p in range(exec_.n):
+        v, r = decision_of(exec_, p)
+        if r is not None and (first_round is None or r < first_round):
+            first_round, value = r, v
     if first_round is None:
         return []
-    failures = []
-    for r in range(first_round, exec_.rounds + 1):
-        for p in range(exec_.n):
-            proposal = exec_.states[p][r].proposal
-            if proposal != value:
-                failures.append({
-                    "invariant": "post-decision-proposals",
-                    "round": r,
-                    "process": p,
-                    "proposal": proposal,
-                    "decided_value": value,
-                    "first_decision_round": first_round,
-                })
-    return failures
+    return [
+        {
+            "invariant": "post-decision-proposals",
+            "round": r,
+            "process": p,
+            "proposal": proposal,
+            "decided_value": value,
+            "first_decision_round": first_round,
+        }
+        for r, p, proposal in _other_proposals(exec_, first_round, value)
+    ]
+
+
+def _other_proposals(exec_: Execution, lo: int, v: Any) -> list[tuple[int, int, Any]]:
+    """(r, p, proposal) for every state of rounds lo on whose proposal is
+    not v, in (round, process) order."""
+    found = []
+    for p, col in enumerate(exec_.states):
+        for r in compress(count(lo), map(ne, map(_proposal, col[lo : exec_.rounds + 1]), repeat(v))):
+            found.append((r, p, col[r].proposal))
+    found.sort()
+    return found
 
 
 def check_detection_soundness(exec_: Execution, D: int) -> list[dict[str, Any]]:
@@ -225,25 +252,32 @@ def check_detection_soundness(exec_: Execution, D: int) -> list[dict[str, Any]]:
     """
     failures = []
     seq = exec_.seq
-    for r in range(1, exec_.rounds + 1):
-        s = r - D
-        root_sets = seq.root_sets[s - 1] if s >= 1 else ()
-        true_root = seq.roots[s - 1] if s >= 1 else None
-        for p in range(exec_.n):
-            est = exec_.states[p][r].detected
+    # The root sets an estimate of round r must be among, at index r-1.
+    targets = ((),) * D + seq.root_sets
+    for p, col in enumerate(exec_.states):
+        rows = map(itemgetter(p), exec_.lastrounds)
+        for s, est, lastround, root_sets in zip(count(1 - D), map(_detected, col[1:]), rows, targets):
             if est is None:
                 continue
-            lastround = exec_.lastrounds[r - 1][p]
-            known = all(lastround[q] >= s for q in est)
-            if est not in root_sets or not known:
-                failures.append({
-                    "invariant": "estimate-soundness",
-                    "round": r,
-                    "process": p,
-                    "estimate": sorted(est),
-                    "true_root": sorted(true_root) if true_root else None,
-                    "members_known": known,
-                })
+            if est in root_sets:
+                # Every member's round-s state must have reached p. The
+                # loop is inline: all() over a generator or min() over a
+                # map would cost calls per estimate.
+                for q in est:
+                    if lastround[q] < s:
+                        break
+                else:
+                    continue
+            true_root = seq.roots[s - 1] if s >= 1 else None
+            failures.append({
+                "invariant": "estimate-soundness",
+                "round": s + D,
+                "process": p,
+                "estimate": sorted(est),
+                "true_root": sorted(true_root) if true_root else None,
+                "members_known": all(lastround[q] >= s for q in est),
+            })
+    failures.sort(key=_round)
     return failures
 
 

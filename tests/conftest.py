@@ -56,6 +56,19 @@ def sink_mutation_sequence(rounds: int = 20) -> GraphSequence:
     return GraphSequence(3, tuple(a if r % 2 else b for r in range(1, rounds + 1)))
 
 
+def short_diameter_sequence() -> GraphSequence:
+    """Six processes, D = 2: a star from 5, then three rounds with root
+    {0, 1, 2}, whose members broadcast in round 2 only. Rounds 3 and 4 add
+    a chain 2 -> 3 -> 4 -> 5 below the root, so across the window 3..4
+    process 3 hears the whole root, 4 misses 0 and 1, and 5 misses all of
+    it."""
+    n = 6
+    ring = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+    broadcast = CommGraph(n, ring + [(u, v) for u in range(3) for v in range(3, n)])
+    sparse = CommGraph(n, ring + [(2, 3), (3, 4), (4, 5)])
+    return GraphSequence(n, (CommGraph(n, [(5, v) for v in range(5)]), broadcast, sparse, sparse))
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo one line per acceptance criterion, outside output capture."""
     import sys

@@ -5,12 +5,20 @@ checks (or, for the propagation property, from `causal_past` alone), and
 is exponential or cubic where the production code is not, so it is only
 usable at small n. `views_equal_until` compares what one process knows in
 two executions, state by state and report by report.
+
+The `walk_*` functions check as the checkers of the same names did
+before they walked bit masks and state columns: `walk_diam` with one
+`causal_past` per window and process, the others one (round, process)
+cell at a time, rounds outer. Their results, witness order included, are
+the reference for the faster walks.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from rootsim.engine import Execution
-from rootsim.graphs import CommGraph, Edge, GraphSequence, causal_past
+from rootsim.graphs import CommGraph, Edge, GraphSequence, causal_past, maximal_runs
 
 
 def brute_force_roots(g: CommGraph) -> frozenset[frozenset[int]]:
@@ -131,3 +139,162 @@ def views_equal_until(exec1: Execution, exec2: Execution, p: int, r: int) -> boo
                 if s >= 1 and exec1.seq.graphs[s - 1].ins[q] != exec2.seq.graphs[s - 1].ins[q]:
                     return False
     return True
+
+
+def walk_diam(seq: GraphSequence, D: int) -> tuple[bool, dict[str, Any] | None]:
+    """The diameter property, one `causal_past` per (window, process):
+    (ok, the first violation in window, then process order, or None)."""
+    for start, end, root in maximal_runs(seq.roots):
+        for r1 in range(start, end - D + 2):
+            hi = r1 + D - 1
+            for p in range(seq.n):
+                cp = causal_past(seq, p, r1 - 1, hi)
+                if not root <= cp:
+                    return False, {
+                        "window_start": r1,
+                        "window_end": hi,
+                        "process": p,
+                        "root": sorted(root),
+                        "missing": sorted(root - cp),
+                    }
+    return True, None
+
+
+def walk_decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
+    """(value, round) of p's decision, or (None, None)."""
+    for r in range(1, exec_.rounds + 1):
+        st = exec_.states[p][r]
+        if st.decision is not None:
+            return st.decision, r
+    return None, None
+
+
+def walk_v_locked_windows(exec_: Execution) -> list[tuple[int, int, int]]:
+    """Maximal runs (start, end, v) of rounds whose root members' states
+    are all locked on the one proposal v."""
+    values: list[int | None] = []
+    for r, root in enumerate(exec_.seq.roots[: exec_.rounds], start=1):
+        value: int | None = None
+        if root is not None:
+            states = [exec_.states[q][r] for q in root]
+            proposals = {st.proposal for st in states}
+            if all(st.locked for st in states) and len(proposals) == 1:
+                (value,) = proposals
+        values.append(value)
+    return maximal_runs(values)
+
+
+def walk_locked_root_convergence(exec_: Execution, D: int, N: int) -> list[dict[str, Any]]:
+    """Every (round, process) whose proposal differs from v once a v-locked
+    root has held for D+2N rounds."""
+    failures: list[dict[str, Any]] = []
+    span = D + 2 * N
+    for start, end, v in walk_v_locked_windows(exec_):
+        if end - start + 1 < span:
+            continue
+        c = start + span - 1
+        for r in range(c, exec_.rounds + 1):
+            for p in range(exec_.n):
+                proposal = exec_.states[p][r].proposal
+                if proposal != v:
+                    failures.append({
+                        "invariant": "locked-root-convergence",
+                        "window": [start, end],
+                        "value": v,
+                        "round": r,
+                        "process": p,
+                        "proposal": proposal,
+                    })
+    return failures
+
+
+def walk_post_window_lock(
+    exec_: Execution, window: tuple[int, int, frozenset[int]], D: int
+) -> list[dict[str, Any]]:
+    """Every state from round c = a+D on that does not hold the lock on v
+    taken at c or with c queued."""
+    a, b, root = window
+    c = a + D
+    if b < c or c > exec_.rounds:
+        return []
+    v = max(exec_.states[q][a].proposal for q in root)
+    failures: list[dict[str, Any]] = []
+    for r in range(c, exec_.rounds + 1):
+        for p in range(exec_.n):
+            st = exec_.states[p][r]
+            ok = (
+                st.locked
+                and st.proposal == v
+                and st.lockround <= c
+                and (st.lockround == c or c in st.queue)
+            )
+            if not ok:
+                failures.append({
+                    "invariant": "post-window-lock",
+                    "round": r,
+                    "process": p,
+                    "state": {
+                        "proposal": st.proposal,
+                        "locked": st.locked,
+                        "lockround": st.lockround,
+                        "queue": list(st.queue),
+                    },
+                    "expected_value": v,
+                    "window": [a, b],
+                    "lock_round": c,
+                })
+    return failures
+
+
+def walk_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
+    """Every proposal, from the first decision's round on, that differs
+    from the first decided value."""
+    first_round, value = None, None
+    for r in range(1, exec_.rounds + 1):
+        for p in range(exec_.n):
+            st = exec_.states[p][r]
+            if st.decision is not None and first_round is None:
+                first_round, value = r, st.decision
+    if first_round is None:
+        return []
+    failures = []
+    for r in range(first_round, exec_.rounds + 1):
+        for p in range(exec_.n):
+            proposal = exec_.states[p][r].proposal
+            if proposal != value:
+                failures.append({
+                    "invariant": "post-decision-proposals",
+                    "round": r,
+                    "process": p,
+                    "proposal": proposal,
+                    "decided_value": value,
+                    "first_decision_round": first_round,
+                })
+    return failures
+
+
+def walk_detection_soundness(exec_: Execution, D: int) -> list[dict[str, Any]]:
+    """Every estimate that is no root component of the round it targets,
+    or one of whose members' states of that round p does not know."""
+    failures = []
+    seq = exec_.seq
+    for r in range(1, exec_.rounds + 1):
+        s = r - D
+        root_sets = seq.root_sets[s - 1] if s >= 1 else ()
+        true_root = seq.roots[s - 1] if s >= 1 else None
+        for p in range(exec_.n):
+            est = exec_.states[p][r].detected
+            if est is None:
+                continue
+            lastround = exec_.lastrounds[r - 1][p]
+            known = all(lastround[q] >= s for q in est)
+            if est not in root_sets or not known:
+                failures.append({
+                    "invariant": "estimate-soundness",
+                    "round": r,
+                    "process": p,
+                    "estimate": sorted(est),
+                    "true_root": sorted(true_root) if true_root else None,
+                    "members_known": known,
+                })
+    return failures

@@ -25,13 +25,14 @@ from rootsim.graphs import (
     causal_past,
     compound,
     maximal_runs,
+    root_components,
     star,
 )
 from rootsim.algorithms import LockingConsensus
 from rootsim.engine import run
 
-from conftest import random_graph
-from oracles import brute_force_nonsplit, views_equal_until
+from conftest import random_graph, short_diameter_sequence
+from oracles import brute_force_nonsplit, views_equal_until, walk_diam
 
 
 def g(n, edges):
@@ -93,6 +94,34 @@ class TestCheckers:
         assert 0 not in causal_past(
             seq, violation["process"], violation["window_start"] - 1, violation["window_end"]
         )
+
+    def test_diam_violation_pinned(self):
+        # Processes 4 and 5 are both short in the window 3..4: the first
+        # violation names the window, the lower process and its misses.
+        seq = short_diameter_sequence()
+        assert check_diam(seq, 2) == (False, {
+            "window_start": 3,
+            "window_end": 4,
+            "process": 4,
+            "root": [0, 1, 2],
+            "missing": [0, 1],
+        })
+        assert check_diam(seq, 3) == (True, None)
+        with pytest.raises(ValueError, match="D=0"):
+            check_diam(seq, 0)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_diam_matches_the_causal_past_walk(self, n):
+        # Sequences with a stable window of 2..n rounds, at every D. (At
+        # n = 2 every rooted round reaches both processes.)
+        found = 0
+        for seed in range(30):
+            seq = generate_rooted(n, 3 * n, seed, stable_len=2 + seed % (n - 1))
+            for D in range(1, n):
+                got = check_diam(seq, D)
+                assert got == walk_diam(seq, D), (seed, D)
+                found += not got[0]
+        assert found
 
     def test_nonsplit_star(self):
         ok, _ = check_nonsplit(GraphSequence(3, (star(0, 3),)))
@@ -229,6 +258,34 @@ class TestGenerateStable:
         monkeypatch.setattr(adversary, "check_star_window", voting_only)
         seq, window = stable(4, 2, 3, 60, 9)
         assert window in maximal_runs(seq.roots)
+
+    @pytest.mark.parametrize("n,D", [(n, D) for n in range(2, 7) for D in range(1, n)])
+    def test_proven_roots_are_the_searched_ones(self, n, D):
+        # The criterion-1 grid cells: the root sets the generator proves
+        # are the ones a root search finds.
+        x = D + 1
+        for seed in range(40):
+            start = window_start(n, x, seed)
+            seq, _ = generate_stable(n, D, x, start, start + x - 1 + n * (D + 2 * n) + 5, seed)
+            assert seq.root_sets == tuple(root_components(graph) for graph in seq.graphs), seed
+
+    def test_round_off_its_designed_root_raises(self, monkeypatch):
+        # Round 5 is drawn with its designed root plus a member that no
+        # other process hears, so it has two root components.
+        draw = adversary._random_rooted_graph
+        drawn = []
+
+        def second_root(rng, n, root, density, broadcast=False):
+            graph = draw(rng, n, root, density, broadcast)
+            drawn.append(root)
+            if len(drawn) != 5:
+                return graph
+            loner = max(set(range(n)) - root)
+            return CommGraph.from_ins([1 << v if v == loner else m & ~(1 << loner) for v, m in enumerate(graph.ins)])
+
+        monkeypatch.setattr(adversary, "_random_rooted_graph", second_root)
+        with pytest.raises(GenerationError, match=r"^generated round 5: .* is not the graph's unique root component"):
+            generate_stable(6, 3, 4, 8, 30, 0)
 
     def test_failed_revalidation_raises(self, monkeypatch):
         monkeypatch.setattr(adversary, "check_diam", lambda seq, D: (False, {"window_start": 3}))

@@ -5,7 +5,7 @@ import pytest
 
 from rootsim import adversary, cli, verification
 from rootsim.algorithms import LockingConsensus, LockQueue, LockState, VoteState, VotingConsensus, value_of_root
-from rootsim.engine import run
+from rootsim.engine import NEVER, run
 from rootsim.graphs import CommGraph, GraphSequence, star
 
 from conftest import sink_mutation_sequence
@@ -19,7 +19,9 @@ class TestLockingBasics:
     def test_initial_state(self):
         algo = LockingConsensus(N=3, D=1)
         state = algo.initial_state(0, 7)
-        assert state == LockState(proposal=7, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=None)
+        assert state == LockState(
+            proposal=7, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=None, dissent=NEVER, detected=None
+        )
 
     def test_state_records_hold_each_fact_once(self):
         # A decision is its value; no second field says whether there is one.
@@ -27,6 +29,15 @@ class TestLockingBasics:
         assert VoteState._fields == ("proposal", "vote", "decision", "detected")
         for state in (LockingConsensus(N=2, D=1).initial_state(0, 0), VotingConsensus().initial_state(0, 0)):
             assert not hasattr(state, "decided")
+
+    def test_state_records_take_every_field(self):
+        # A call written for the old field order, with `decided` before
+        # `decision`, would build a state with decision=False if the
+        # trailing fields had defaults.
+        with pytest.raises(TypeError):
+            LockState(1, True, 1, LockQueue([], 0, 0), False, None)
+        with pytest.raises(TypeError):
+            VoteState(1, None, None)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -130,7 +141,7 @@ class TestMutations:
 
 
 def vote_msg(vote: int | None, proposal: int) -> VoteState:
-    return VoteState(proposal=proposal, vote=vote, decision=None)
+    return VoteState(proposal=proposal, vote=vote, decision=None, detected=None)
 
 
 class TestValueOfRoot:

@@ -683,9 +683,10 @@ class TestDerivedConstants:
         assert max(offsets) == verification.VOTING_DECISION_OFFSET
 
 
-def test_run_once_computes_each_round_root_once(monkeypatch):
-    # Generation, its validation, the engine and the checkers all read the
-    # sequence's roots, which are computed once per round.
+def test_locking_run_once_searches_no_root(monkeypatch):
+    # Generation proves each round's designed root and stores it, and its
+    # validation, the engine and the checkers all read the stored roots,
+    # so no root search runs; the proven roots are the searched ones.
     graphs_seen = []
     original = graphs.root_components
 
@@ -696,7 +697,8 @@ def test_run_once_computes_each_round_root_once(monkeypatch):
     monkeypatch.setattr(graphs, "root_components", counting)
     exec_, verdict = cli.run_once({"algorithm": "locking", "n": 4, "D": 2}, 3)
     assert verdict.ok
-    assert len(graphs_seen) == len(exec_.seq)
+    assert graphs_seen == []
+    assert exec_.seq.root_sets == tuple(original(g) for g in exec_.seq.graphs)
 
 
 def test_voting_run_once_computes_each_compound_root_once(monkeypatch):

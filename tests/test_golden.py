@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from conftest import sink_mutation_sequence
+from conftest import short_diameter_sequence, sink_mutation_sequence
 from rootsim import adversary, cli, verification
 from rootsim.algorithms import LockingConsensus
 from rootsim.engine import run
@@ -78,8 +78,15 @@ STAR = CommGraph(3, [(0, 1), (0, 2)])
             1, 2, 1,
             "0c4930a399dab72ac4c00aa51b3ed520cc9a854c5e020d9f94be2e7e8c8bf75e",
         ),
+        # A non-member by the diameter property alone: processes 4 and 5
+        # miss members of the root {0, 1, 2} across rounds 3..4.
+        (
+            short_diameter_sequence(),
+            2, 2, 1,
+            "9ee531c9c0388a262a4f2e552a652f984bc577f3d2a068c47e39d81e590565f5",
+        ),
     ],
-    ids=["member", "non-member"],
+    ids=["member", "non-member", "diameter-non-member"],
 )
 def test_validate_output_bytes(seq, D, x, code, digest, tmp_path, capsys):
     path = tmp_path / "seq.jsonl"

@@ -117,6 +117,75 @@ class TestRootComponents:
                 assert seq.roots[r - 1] == (next(iter(expected)) if len(expected) == 1 else None)
 
 
+@st.composite
+def graph_and_claim(draw):
+    """A graph at n <= 5 and a nonempty set of its processes."""
+    n = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    graph = CommGraph(n, draw(st.sets(pairs, max_size=n * n)))
+    claim = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return graph, claim
+
+
+class TestWithRoots:
+    def test_claims_accepted_exactly_when_unique_root(self):
+        # Every singleton and the full set, on random graphs of every
+        # size up to 5 and density.
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            graph = random_graph(rng, n, rng.uniform(0.0, 0.8))
+            roots = brute_force_roots(graph)
+            for claim in [frozenset({v}) for v in range(n)] + [frozenset(range(n)), *roots]:
+                self.assert_accepted_iff_unique_root(graph, claim, roots)
+
+    @given(graph_and_claim())
+    @settings(max_examples=300, deadline=None)
+    def test_random_claims(self, case):
+        graph, claim = case
+        self.assert_accepted_iff_unique_root(graph, claim, brute_force_roots(graph))
+
+    @staticmethod
+    def assert_accepted_iff_unique_root(graph, claim, roots):
+        unique = roots == {claim}
+        try:
+            seq = GraphSequence.with_roots(graph.n, [graph], [claim])
+        except GraphError as exc:
+            assert not unique, (graph, claim)
+            assert str(exc).startswith("round 1: ")
+        else:
+            assert unique, (graph, claim)
+            assert seq.root_sets == (roots,) and seq.roots == (claim,)
+
+    def test_failing_round_named(self):
+        seq = GraphSequence.with_roots(3, [star(0, 3), star(1, 3)], [frozenset({0}), frozenset({1})])
+        assert seq.roots == (frozenset({0}), frozenset({1}))
+        with pytest.raises(GraphError, match=r"round 2: \[0, 1\] is not the graph's unique root component"):
+            GraphSequence.with_roots(3, [star(0, 3), star(1, 3)], [frozenset({0}), frozenset({0, 1})])
+
+    @pytest.mark.parametrize(
+        "roots, message",
+        [
+            ([frozenset({0})], "1 roots for 2 rounds"),
+            ([frozenset({0}), frozenset()], r"round 2: \[\] is not a set of processes of n=3"),
+            ([frozenset({0}), frozenset({-1, 1})], r"round 2: \[-1, 1\] is not a set of processes of n=3"),
+            ([frozenset({0}), frozenset({1, 3})], r"round 2: \[1, 3\] is not the graph's unique root component"),
+        ],
+        ids=["count", "empty", "negative", "out-of-range"],
+    )
+    def test_malformed_claim_rejected(self, roots, message):
+        with pytest.raises(GraphError, match=message):
+            GraphSequence.with_roots(3, [star(0, 3), star(1, 3)], roots)
+
+    def test_proof_searches_no_root(self, monkeypatch):
+        def no_search(graph):
+            raise AssertionError("root search")
+
+        monkeypatch.setattr(graphs_module, "root_components", no_search)
+        seq = GraphSequence.with_roots(3, [star(2, 3)] * 4, [frozenset({2})] * 4)
+        assert seq.roots == (frozenset({2}),) * 4
+
+
 class TestCompound:
     def test_identity_is_neutral(self):
         rng = random.Random(1)

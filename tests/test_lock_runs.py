@@ -159,8 +159,9 @@ def test_unanimous_adoption_walks_from_round_r_minus_N():
     # only unanimous adoption can move process 0, and only a walk that
     # starts at round r - N finds the value.
     N, r, queue = 2, 6, LockQueue([], 0, 0)
-    unlocked = LockState(proposal=0, locked=False, lockround=1, queue=queue, decision=None)
-    locked = LockState(proposal=7, locked=True, lockround=1, queue=queue, decision=None)
+    rest = {"decision": None, "dissent": NEVER, "detected": None}
+    unlocked = LockState(proposal=0, locked=False, lockround=1, queue=queue, **rest)
+    locked = LockState(proposal=7, locked=True, lockround=1, queue=queue, **rest)
     states = [[unlocked] * r, [locked] * (r - N + 1)]
     view = ProcessView(0, r, (r - 1, r - N), states, (frozenset({frozenset({1})}),) * r, {})
     assert scan_recent(view, r - N) == {7}

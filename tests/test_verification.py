@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
 from rootsim import adversary, cli, verification
 from rootsim.algorithms import LockingConsensus, LockQueue, LockState, VotingConsensus
-from rootsim.engine import Execution, run
+from rootsim.engine import NEVER, Execution, run
 from rootsim.graphs import CommGraph, GraphSequence, star
 from rootsim.verification import (
     check_agreement_stability,
@@ -15,6 +17,7 @@ from rootsim.verification import (
     track_v_locked_windows,
 )
 
+import oracles
 from conftest import Probe
 from oracles import brute_force_roots, check_information_propagation, views_equal_until
 
@@ -41,7 +44,9 @@ def make_exec(inputs, rows):
 
 
 def locked(v, decision=None):
-    return LockState(proposal=v, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=decision)
+    return LockState(
+        proposal=v, locked=True, lockround=1, queue=LockQueue([], 0, 0), decision=decision, dissent=NEVER, detected=None
+    )
 
 
 class TestCheckConsensus:
@@ -111,7 +116,7 @@ class TestLockedWindows:
             [
                 locked(1),
                 locked(1),
-                LockState(proposal=1, locked=False, lockround=1, queue=LockQueue([], 0, 0), decision=None),
+                locked(1)._replace(locked=False),
                 locked(1),
             ]
         ]
@@ -227,9 +232,10 @@ class TestPostWindowLock:
     def test_unlocked_state_after_anchor_reported(self):
         # Window rounds 1..2 with root {0} and D = 1: from round 2 on every
         # state must hold a lock on 1 taken at round 2 or with 2 queued.
-        backed = LockState(proposal=1, locked=True, lockround=2, queue=LockQueue([], 0, 0), decision=None)
-        queued = LockState(proposal=1, locked=True, lockround=1, queue=LockQueue([2], 0, 1), decision=None)
-        unlocked = LockState(proposal=1, locked=False, lockround=2, queue=LockQueue([], 0, 0), decision=None)
+        rest = {"decision": None, "dissent": NEVER, "detected": None}
+        backed = LockState(proposal=1, locked=True, lockround=2, queue=LockQueue([], 0, 0), **rest)
+        queued = LockState(proposal=1, locked=True, lockround=1, queue=LockQueue([2], 0, 1), **rest)
+        unlocked = LockState(proposal=1, locked=False, lockround=2, queue=LockQueue([], 0, 0), **rest)
         rows = [
             [locked(1), locked(1), backed, queued],
             [locked(1), locked(1), backed, unlocked],
@@ -248,6 +254,102 @@ WINDOW_AT_ROUND_ONE = [
     (GraphSequence(2, (star(0, 2),) * 20), [1, 0]),
     (adversary.scenario("lossy-link", horizon=20, seed=6), [0, 1]),
 ]
+
+
+def with_faults(exec_, window, D, seed):
+    """A copy of `exec_` with faults of every kind at random cells from the
+    window's first round on: flipped proposals, cleared locks, estimates
+    that name no root, estimates of a root whose member's state the
+    process does not know, confirmations of the lock round c = a+D
+    dropped from a queue, and two processes that decide different values
+    in one round before anyone else."""
+    rng = random.Random(seed)
+    states = [list(col) for col in exec_.states]
+    lastrounds = list(exec_.lastrounds)
+    n, rounds = exec_.n, exec_.rounds
+    a, b, root = window
+    c = a + D
+
+    def cells(k):
+        return [(rng.randrange(n), rng.randint(a, rounds)) for _ in range(k)]
+
+    for p, r in cells(6):
+        states[p][r] = states[p][r]._replace(proposal=states[p][r].proposal + 1)
+    for p, r in cells(6):
+        states[p][r] = states[p][r]._replace(locked=False)
+    for p, r in cells(6):
+        states[p][r] = states[p][r]._replace(detected=frozenset(range(n)) - {rng.randrange(n)})
+    for p, r in cells(20):
+        est, s = states[p][r].detected, r - D
+        if est and s >= 1:
+            q = min(est)
+            row = list(lastrounds[r - 1][p])
+            row[q] = min(row[q], s - 1)
+            view = list(lastrounds[r - 1])
+            view[p] = tuple(row)
+            lastrounds[r - 1] = tuple(view)
+    for p, r in cells(40):
+        st = states[p][r]
+        if r >= c and st.lockround < c and c in st.queue:
+            kept = [t for t in st.queue if t != c]
+            states[p][r] = st._replace(queue=LockQueue(kept, 0, len(kept)))
+    r0 = min(verification.decision_of(exec_, p)[1] for p in range(n)) - 1
+    p1, p2 = rng.sample(range(n), 2)
+    states[p1][r0] = states[p1][r0]._replace(decision=-1)
+    states[p2][r0] = states[p2][r0]._replace(decision=-2)
+    return dataclasses.replace(exec_, states=states, lastrounds=lastrounds)
+
+
+class TestWitnessOrder:
+    """The column walks report exactly the failures of the (round, process)
+    walks in `oracles`, in the same order, on real runs with faults."""
+
+    CASES = [
+        ({"algorithm": "locking", "n": n, "D": D}, seed)
+        for n, D in ((3, 1), (4, 2), (5, 2), (6, 3))
+        for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize("cfg, seed", CASES)
+    def test_faulty_locking_runs(self, cfg, seed):
+        exec_, verdict = cli.run_once(cfg, seed)
+        assert verdict.ok
+        D, N = cfg["D"], cfg["n"]
+        window = adversary.stable_window(exec_.seq, D + 1)
+        bad = with_faults(exec_, window, D, seed)
+        pairs = {
+            "decision_of": (
+                [verification.decision_of(bad, p) for p in range(bad.n)],
+                [oracles.walk_decision_of(bad, p) for p in range(bad.n)],
+            ),
+            "soundness": (check_detection_soundness(bad, D), oracles.walk_detection_soundness(bad, D)),
+            "post-window": (check_post_window_lock(bad, window, D), oracles.walk_post_window_lock(bad, window, D)),
+            "convergence": (
+                verification.check_locked_root_convergence(bad, D, N),
+                oracles.walk_locked_root_convergence(bad, D, N),
+            ),
+            "agreement": (check_agreement_stability(bad), oracles.walk_agreement_stability(bad)),
+            "locked windows": (track_v_locked_windows(bad), oracles.walk_v_locked_windows(bad)),
+        }
+        for name, (got, want) in pairs.items():
+            assert got == want, name
+        for name in ("soundness", "post-window", "agreement"):
+            cells = [(f["round"], f["process"]) for f in pairs[name][1]]
+            # Process-major order would differ: the order is under test.
+            assert cells != sorted(cells, key=lambda cell: cell[::-1]), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_faulty_voting_run_estimates(self, seed):
+        exec_, verdict = cli.run_once({"algorithm": "voting", "n": 5}, seed)
+        assert verdict.ok
+        rng = random.Random(seed)
+        for _ in range(4):
+            p, r = rng.randrange(exec_.n), rng.randint(2, exec_.rounds)
+            exec_.states[p][r] = exec_.states[p][r]._replace(detected=frozenset({0, 1, 2}) - {p})
+        want = oracles.walk_detection_soundness(exec_, 1)
+        assert len(want) >= 2
+        assert check_detection_soundness(exec_, 1) == want
+        assert verification.voting_verdict(exec_).invariant_failures == want
 
 
 def locking_run_verdict(seq, inputs):
