@@ -242,30 +242,23 @@ class LockingConsensus:
             candidate = view.memo.get(root)
             if candidate is None:
                 candidate = view.memo[root] = max(view.state(q, r - D).proposal for q in root)
-            adopt = not locked
-            if not adopt and candidate != proposal:
-                # Count the distinct detectable root components between the
-                # oldest round still backing our lock and the newest
-                # detectable one; more than one means our lock's evidence
-                # spans a root change and may be stale.
-                t_lo = max(1, max(queue[-1] if queue else 0, lockround) - D)
-                seen: set[frozenset[int]] = set()
-                for i in range(t_lo, r - D + 1):
-                    est = estimate_root(view, i)
-                    if est is not None:
-                        seen.add(est)
-                        if len(seen) > 1:
-                            break
-                adopt = len(seen) > 1
-            if adopt:
-                proposal, locked, lockround = candidate, True, r
-            elif candidate == proposal:
+            # An unlocked process locks on the candidate. A locked one
+            # confirms it if it is its proposal, and else re-locks on it iff
+            # a root other than round r-D's is detectable between the oldest
+            # round still backing its lock and round r-D: its lock's evidence
+            # then spans a root change and may be stale.
+            if locked and candidate == proposal:
                 queue = queue.append(r)
+            elif not locked or any(
+                estimate_root(view, i) not in (None, root)
+                for i in range(max(1, max(queue[-1] if queue else 0, lockround) - D), r - D)
+            ):
+                proposal, locked, lockround = candidate, True, r
 
-        # Backoff and unanimous adoption need r >= lockround + N and a state
-        # of the last N rounds that does not hold our locked proposal; the
-        # latest such state's round dp is the backoff cut. Without one, the
-        # last N rounds hold our locked proposal alone, and neither can fire.
+        # dp is the round of the latest known state against our proposal.
+        # Backoff and unanimous adoption need r >= lockround + N and dp in
+        # the last N rounds, where dp is the backoff cut. Otherwise the last
+        # N rounds hold our locked proposal alone, and neither can fire.
         dp = d if proposal == k else r - 1
         if r >= lockround + N and dp >= r - N:
             if self.backoff:
@@ -278,12 +271,13 @@ class LockingConsensus:
                 locked_values = scan_recent(view, r - N)
                 if len(locked_values) == 1:
                     (proposal,) = locked_values
+                    dp = d if proposal == k else r - 1
 
         due = lockround + self.decide_span
         if decision is None and (r >= due if self.decide_rule == "sliding" else r == due):
             # Every known state of the lookback holds our locked proposal.
             # The lookback starts at r - decide_span >= lockround >= 1.
-            if (d if proposal == k else r - 1) < r - self.decide_span:
+            if dp < r - self.decide_span:
                 decision = proposal
 
         key = proposal if locked else None
