@@ -244,13 +244,14 @@ class LockingConsensus:
                 candidate = view.memo[root] = max(view.state(q, r - D).proposal for q in root)
             # An unlocked process locks on the candidate. A locked one
             # confirms it if it is its proposal, and else re-locks on it iff
-            # a root other than round r-D's is detectable between the oldest
-            # round still backing its lock and round r-D: its lock's evidence
-            # then spans a root change and may be stale.
+            # some round between the oldest round still backing its lock and
+            # round r-D has an estimate other than round r-D's root: its
+            # lock's evidence then may span a root change and be stale. A
+            # round with no estimate counts, since its root may differ.
             if locked and candidate == proposal:
                 queue = queue.append(r)
             elif not locked or any(
-                estimate_root(view, i) not in (None, root)
+                estimate_root(view, i) != root
                 for i in range(max(1, max(queue[-1] if queue else 0, lockround) - D), r - D)
             ):
                 proposal, locked, lockround = candidate, True, r

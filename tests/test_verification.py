@@ -389,6 +389,63 @@ class TestVerdicts:
         assert verdict.ok, verdict.to_json()
 
 
+def seen_root_window_run(word, inputs):
+    """The verdict on a LockingConsensus(N=4, D=3) run over `word` (one
+    edge list per round; (u, v) means v hears u) and then complete graphs,
+    70 rounds in all, with its first stable window of D+1 rounds."""
+    n, D = 4, 3
+    complete = [(u, v) for u in range(n) for v in range(n) if u != v]
+    seq = GraphSequence(n, tuple(g(n, edges) for edges in word + [complete] * (70 - len(word))))
+    assert adversary.membership_report(seq, D, D + 1)["member"]
+    algo = LockingConsensus(N=n, D=D)
+    exec_ = run(algo, inputs, seq)
+    return exec_, verification.locking_verdict(exec_, algo, adversary.stable_window(seq, D + 1))
+
+
+class TestWindowRootSeenBefore:
+    """Windows whose root was already the root of an earlier round."""
+
+    def test_a_round_with_no_estimate_counts_as_a_root_change(self):
+        # Round 3's root {3} locks processes 0 and 3 on 0 at round 6. The
+        # window 5..8 has root {3} again and dictates 1, but they never
+        # learn process 1's round-4 state, so round 4, whose root is {1},
+        # has no estimate. Unless that round counts as a possible root
+        # change, they keep their stale lock past the window and everyone
+        # decides at 56, after the deadline 52.
+        star3 = [(3, 0), (3, 1), (3, 2)]
+        word = [
+            [(2, 0), (2, 1), (2, 3)],
+            [(1, 0), (2, 3), (3, 1), (3, 2)],
+            [(1, 0), (2, 1), (3, 2)],
+            [(1, 0), (1, 2), (1, 3)],
+            star3,
+            [(1, 2), (3, 0), (3, 1)],
+            star3,
+            star3,
+        ]
+        exec_, verdict = seen_root_window_run(word, [0, 1, 1, 0])
+        assert verdict.deadline == 52
+        assert verdict.ok, verdict.to_json()
+        assert [verification.decision_of(exec_, p) for p in range(4)] == [(1, 52)] * 4
+
+    def test_root_of_round_two_returns_in_the_window(self):
+        # The window 4..7 has root {0, 2, 3}, round 2's root too. Everyone
+        # decides 0 at the deadline, 51.
+        word = [
+            [(1, 2), (1, 3), (3, 0)],
+            [(0, 3), (2, 0), (2, 1), (3, 2)],
+            [(1, 3), (3, 0), (3, 2)],
+            [(0, 2), (2, 1), (2, 3), (3, 0)],
+            [(0, 3), (2, 3), (3, 0), (3, 1), (3, 2)],
+            [(0, 3), (2, 0), (3, 1), (3, 2)],
+            [(0, 2), (2, 3), (3, 0), (3, 1)],
+        ]
+        exec_, verdict = seen_root_window_run(word, [0, 1, 0, 0])
+        assert verdict.deadline == 51
+        assert verdict.ok, verdict.to_json()
+        assert [verification.decision_of(exec_, p) for p in range(4)] == [(0, 51)] * 4
+
+
 class TestIndistinguishability:
     def test_identical_sequences(self):
         seq = GraphSequence(2, (g(2, [(0, 1)]),) * 3)
