@@ -245,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         if verdict.ok:
             passed += 1
-            last_decision = max(verification.decision_of(exec_, p)[1] for p in range(exec_.n))
+            last_decision = max(r for _, r in verification.decisions_of(exec_))
             decision_offsets.append(verdict.deadline - last_decision)
         else:
             failures.append({"seed": seed, "verdict": verdict.to_json()})

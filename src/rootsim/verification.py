@@ -62,21 +62,26 @@ class Verdict:
         return {**asdict(self), "ok": self.ok}
 
 
-def decision_of(exec_: Execution, p: int) -> tuple[int | None, int | None]:
-    """(value, round) of p's decision, or (None, None): the first state of
-    p's column that holds one."""
-    col = exec_.states[p]
-    for r in range(1, exec_.rounds + 1):
-        st = col[r]
-        if st.decision is not None:
-            return st.decision, r
-    return None, None
+def decisions_of(exec_: Execution) -> list[tuple[int | None, int | None]]:
+    """(value, round) of each process's decision, in process order: the
+    first state of its column that holds one, or (None, None)."""
+    decisions: list[tuple[int | None, int | None]] = []
+    for col in exec_.states:
+        for r in range(1, exec_.rounds + 1):
+            st = col[r]
+            if st.decision is not None:
+                decisions.append((st.decision, r))
+                break
+        else:
+            decisions.append((None, None))
+    return decisions
 
 
-def check_consensus(exec_: Execution, deadline: int) -> Verdict:
-    """Agreement, validity, and termination-by-deadline for one execution."""
-    decisions = [decision_of(exec_, p) for p in range(exec_.n)]
-
+def check_consensus(
+    exec_: Execution, deadline: int, decisions: list[tuple[int | None, int | None]]
+) -> Verdict:
+    """Agreement, validity, and termination-by-deadline for one execution
+    whose processes' decisions are `decisions` (`decisions_of`)."""
     agreement, agreement_witness = True, None
     decided = [(p, v, r) for p, (v, r) in enumerate(decisions) if v is not None]
     for i in range(1, len(decided)):
@@ -205,14 +210,16 @@ def check_post_window_lock(
     return failures
 
 
-def check_agreement_stability(exec_: Execution) -> list[dict[str, Any]]:
-    """Once any process decides v, every proposal from that round on is v.
+def check_agreement_stability(
+    exec_: Execution, decisions: list[tuple[int | None, int | None]]
+) -> list[dict[str, Any]]:
+    """Once any process decides v, every proposal from that round on is v,
+    where `decisions` are the processes' decisions (`decisions_of`).
 
     The first decision is the earliest round's, of the lowest process
     among those deciding in it."""
     first_round, value = None, None
-    for p in range(exec_.n):
-        v, r = decision_of(exec_, p)
+    for v, r in decisions:
         if r is not None and (first_round is None or r < first_round):
             first_round, value = r, v
     if first_round is None:
@@ -323,14 +330,15 @@ def locking_verdict(
     """
     D = algo.D
     deadline = window[1] + algo.decide_span if window else exec_.rounds
-    verdict = check_consensus(exec_, deadline)
+    decisions = decisions_of(exec_)
+    verdict = check_consensus(exec_, deadline, decisions)
     failures = verdict.invariant_failures
     failures.extend(check_detection_soundness(exec_, D))
     if window:
         failures.extend(check_detection_completeness(exec_, window, D))
         failures.extend(check_post_window_lock(exec_, window, D))
     failures.extend(check_locked_root_convergence(exec_, D, algo.N))
-    failures.extend(check_agreement_stability(exec_))
+    failures.extend(check_agreement_stability(exec_, decisions))
     return verdict
 
 
@@ -344,7 +352,7 @@ def voting_verdict(exec_: Execution) -> Verdict:
     """
     stars = adversary.check_star_window(exec_.seq, 2)
     deadline = stars[0][0] + 1 + VOTING_DECISION_OFFSET if stars else exec_.rounds
-    verdict = check_consensus(exec_, deadline)
+    verdict = check_consensus(exec_, deadline, decisions_of(exec_))
     nonsplit_ok, split = adversary.check_nonsplit(exec_.seq)
     if not nonsplit_ok:
         verdict.invariant_failures.append(

@@ -169,7 +169,7 @@ class TestVoting:
     def test_decision_zero_is_traced_as_decided(self):
         seq = GraphSequence(3, (star(0, 3),) * 4)
         exec_ = run(VotingConsensus(), [0, 0, 0], seq)
-        assert [verification.decision_of(exec_, p) for p in range(3)] == [(0, 3)] * 3
+        assert verification.decisions_of(exec_) == [(0, 3)] * 3
         lines = [line for line in exec_.trace_lines() if line["pid"] == 0]
         assert [(line["decided"], line["decision"]) for line in lines] == [
             (False, None), (False, None), (True, 0), (True, 0)

@@ -15,6 +15,7 @@ from rootsim.verification import (
     check_detection_completeness,
     check_detection_soundness,
     check_post_window_lock,
+    decisions_of,
     track_v_locked_windows,
 )
 
@@ -56,7 +57,8 @@ class TestCheckConsensus:
             [locked(5), locked(5), locked(5, 5)],
             [locked(5), locked(5, 5), locked(5, 5)],
         ]
-        verdict = check_consensus(make_exec([5, 0], rows), deadline=2)
+        exec_ = make_exec([5, 0], rows)
+        verdict = check_consensus(exec_, 2, decisions_of(exec_))
         assert verdict.ok and verdict.agreement and verdict.validity and verdict.termination
 
     def test_disagreement_carries_witnesses(self):
@@ -64,19 +66,22 @@ class TestCheckConsensus:
             [locked(3), locked(3, 3)],
             [locked(5), locked(5, 5)],
         ]
-        verdict = check_consensus(make_exec([3, 5], rows), deadline=1)
+        exec_ = make_exec([3, 5], rows)
+        verdict = check_consensus(exec_, 1, decisions_of(exec_))
         assert not verdict.agreement
         w = verdict.agreement_witness
         assert {w["value_a"], w["value_b"]} == {3, 5}
 
     def test_invented_value_fails_validity(self):
         rows = [[locked(9), locked(9, 9)]]
-        verdict = check_consensus(make_exec([1], rows), deadline=1)
+        exec_ = make_exec([1], rows)
+        verdict = check_consensus(exec_, 1, decisions_of(exec_))
         assert not verdict.validity
 
     def test_decision_after_deadline_counts_as_undecided(self):
         rows = [[locked(1), locked(1), locked(1, 1)]]
-        verdict = check_consensus(make_exec([1], rows), deadline=1)
+        exec_ = make_exec([1], rows)
+        verdict = check_consensus(exec_, 1, decisions_of(exec_))
         assert not verdict.termination
         assert verdict.undecided == [0]
 
@@ -84,17 +89,18 @@ class TestCheckConsensus:
         # 0 is a decided value like any other.
         rows = [[locked(0), locked(0, 0), locked(0, 0)], [locked(1), locked(1), locked(1)]]
         exec_ = make_exec([0, 1], rows)
-        assert [verification.decision_of(exec_, p) for p in range(2)] == [(0, 1), (None, None)]
-        assert check_consensus(exec_, deadline=2).undecided == [1]
-        assert [(f["round"], f["process"], f["decided_value"]) for f in check_agreement_stability(exec_)] == [
-            (1, 1, 0), (2, 1, 0)
-        ]
+        decisions = decisions_of(exec_)
+        assert decisions == [(0, 1), (None, None)]
+        assert check_consensus(exec_, 2, decisions).undecided == [1]
+        failures = check_agreement_stability(exec_, decisions)
+        assert [(f["round"], f["process"], f["decided_value"]) for f in failures] == [(1, 1, 0), (2, 1, 0)]
         assert LockingConsensus(N=2, D=1).trace_fields(locked(0, 0))["decided"] is True
         assert LockingConsensus(N=2, D=1).trace_fields(locked(0))["decided"] is False
 
     def test_verdict_json(self):
         rows = [[locked(1), locked(1, 1)]]
-        data = check_consensus(make_exec([1], rows), deadline=1).to_json()
+        exec_ = make_exec([1], rows)
+        data = check_consensus(exec_, 1, decisions_of(exec_)).to_json()
         assert data["ok"] is True and data["deadline"] == 1
 
 
@@ -132,7 +138,8 @@ class TestAgreementStability:
             [locked(1), locked(1, 1), locked(1, 1)],
             [locked(1), locked(1), locked(2)],
         ]
-        failures = check_agreement_stability(make_exec([1, 2], rows))
+        exec_ = make_exec([1, 2], rows)
+        failures = check_agreement_stability(exec_, decisions_of(exec_))
         assert failures and failures[0]["process"] == 1
 
 
@@ -294,7 +301,7 @@ def with_faults(exec_, window, D, seed):
         if r >= c and st.lockround < c and c in st.queue:
             kept = [t for t in st.queue if t != c]
             states[p][r] = st._replace(queue=LockQueue(kept, 0, len(kept)))
-    r0 = min(verification.decision_of(exec_, p)[1] for p in range(n)) - 1
+    r0 = min(r for _, r in decisions_of(exec_)) - 1
     p1, p2 = rng.sample(range(n), 2)
     states[p1][r0] = states[p1][r0]._replace(decision=-1)
     states[p2][r0] = states[p2][r0]._replace(decision=-2)
@@ -319,17 +326,14 @@ class TestWitnessOrder:
         window = adversary.stable_window(exec_.seq, D + 1)
         bad = with_faults(exec_, window, D, seed)
         pairs = {
-            "decision_of": (
-                [verification.decision_of(bad, p) for p in range(bad.n)],
-                [oracles.walk_decision_of(bad, p) for p in range(bad.n)],
-            ),
+            "decisions": (decisions_of(bad), [oracles.walk_decision_of(bad, p) for p in range(bad.n)]),
             "soundness": (check_detection_soundness(bad, D), oracles.walk_detection_soundness(bad, D)),
             "post-window": (check_post_window_lock(bad, window, D), oracles.walk_post_window_lock(bad, window, D)),
             "convergence": (
                 verification.check_locked_root_convergence(bad, D, N),
                 oracles.walk_locked_root_convergence(bad, D, N),
             ),
-            "agreement": (check_agreement_stability(bad), oracles.walk_agreement_stability(bad)),
+            "agreement": (check_agreement_stability(bad, decisions_of(bad)), oracles.walk_agreement_stability(bad)),
             "locked windows": (track_v_locked_windows(bad), oracles.walk_v_locked_windows(bad)),
         }
         for name, (got, want) in pairs.items():
@@ -462,7 +466,7 @@ class TestWindowRootSeenBefore:
         exec_, verdict = seen_root_window_run(word, [0, 1, 1, 0])
         assert verdict.deadline == 52
         assert verdict.ok, verdict.to_json()
-        assert [verification.decision_of(exec_, p) for p in range(4)] == [(1, 52)] * 4
+        assert decisions_of(exec_) == [(1, 52)] * 4
 
     def test_root_of_round_two_returns_in_the_window(self):
         # The window 4..7 has root {0, 2, 3}, round 2's root too. Everyone
@@ -479,7 +483,7 @@ class TestWindowRootSeenBefore:
         exec_, verdict = seen_root_window_run(word, [0, 1, 0, 0])
         assert verdict.deadline == 51
         assert verdict.ok, verdict.to_json()
-        assert [verification.decision_of(exec_, p) for p in range(4)] == [(0, 51)] * 4
+        assert decisions_of(exec_) == [(0, 51)] * 4
 
 
 class TestIndistinguishability:
