@@ -273,25 +273,6 @@ def maximal_runs(keys: Iterable[K | None]) -> list[tuple[int, int, K]]:
     return runs
 
 
-def causal_past(seq: GraphSequence, p: int, a: int, b: int) -> frozenset[int]:
-    """Processes whose round-(a+1)-or-later information reached p by round b.
-
-    Equals {p} when a == b, else the in-neighborhood of p in the compound
-    of the round a+1..b graphs.
-    """
-    if a > b:
-        raise GraphError(f"causal_past needs a <= b, got a={a}, b={b}")
-    if a < 0 or b > len(seq):
-        raise GraphError(f"rounds {a}..{b} outside sequence of length {len(seq)}")
-    if not (0 <= p < seq.n):
-        raise GraphError(f"process {p} out of range for n={seq.n}")
-    # Walk backwards: reached = set that can still influence p.
-    reached = 1 << p
-    for r in range(b, a, -1):
-        reached = _union(seq.graphs[r - 1].ins, reached)
-    return frozenset(members(reached))
-
-
 def write_jsonl(seq: GraphSequence, fh: IO[str]) -> None:
     """Serialize a sequence: header line, then one object per round."""
     fh.write(json.dumps({"n": seq.n, "rounds": len(seq)}) + "\n")

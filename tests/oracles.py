@@ -3,7 +3,9 @@
 Each one is written without the bit-mask routines of `rootsim.graphs` it
 checks (or, for the propagation property, from `causal_past` alone), and
 is exponential or cubic where the production code is not, so it is only
-usable at small n. `views_equal_until` compares what one process knows in
+usable at small n. `causal_past` is the tests' definition of what a
+process can know: the engine's knowledge and the diameter check are
+checked against it. `views_equal_until` compares what one process knows in
 two executions, state by state and report by report.
 
 The `walk_*` functions check as the checkers of the same names did
@@ -15,10 +17,32 @@ the reference for the faster walks.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Any
 
 from rootsim.engine import Execution
-from rootsim.graphs import CommGraph, Edge, GraphSequence, causal_past, maximal_runs
+from rootsim.graphs import CommGraph, Edge, GraphError, GraphSequence, maximal_runs, members
+
+
+def causal_past(seq: GraphSequence, p: int, a: int, b: int) -> frozenset[int]:
+    """Processes whose round-(a+1)-or-later information reached p by round b.
+
+    Equals {p} when a == b, else the in-neighborhood of p in the compound
+    of the round a+1..b graphs.
+    """
+    if a > b:
+        raise GraphError(f"causal_past needs a <= b, got a={a}, b={b}")
+    if a < 0 or b > len(seq):
+        raise GraphError(f"rounds {a}..{b} outside sequence of length {len(seq)}")
+    if not (0 <= p < seq.n):
+        raise GraphError(f"process {p} out of range for n={seq.n}")
+    # Walk backwards: reached = set that can still influence p. Every
+    # in-neighbour mask holds its own process.
+    reached = 1 << p
+    for g in reversed(seq.graphs[a:b]):
+        reached = reduce(or_, [g.ins[v] for v in members(reached)])
+    return frozenset(members(reached))
 
 
 def brute_force_roots(g: CommGraph) -> frozenset[frozenset[int]]:

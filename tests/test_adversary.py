@@ -22,7 +22,6 @@ from rootsim.graphs import (
     CommGraph,
     GraphError,
     GraphSequence,
-    causal_past,
     compound,
     maximal_runs,
     root_components,
@@ -32,7 +31,7 @@ from rootsim.algorithms import LockingConsensus
 from rootsim.engine import run
 
 from conftest import random_graph, short_diameter_sequence
-from oracles import brute_force_nonsplit, views_equal_until, walk_diam
+from oracles import brute_force_nonsplit, causal_past, views_equal_until, walk_diam
 
 
 def g(n, edges):

@@ -7,10 +7,10 @@ from rootsim import adversary
 from rootsim.algorithms import LockingConsensus, VotingConsensus
 from rootsim.detection import estimate_root
 from rootsim.engine import NEVER, EngineError, run
-from rootsim.graphs import CommGraph, GraphSequence, causal_past, members, star
+from rootsim.graphs import CommGraph, GraphSequence, members, star
 
 from conftest import Probe, random_sequence
-from oracles import views_equal_until
+from oracles import causal_past, views_equal_until
 
 
 def g(n, edges):

@@ -11,7 +11,6 @@ from rootsim.graphs import (
     CommGraph,
     GraphError,
     GraphSequence,
-    causal_past,
     compound,
     compound_all,
     members,
@@ -21,7 +20,7 @@ from rootsim.graphs import (
     write_jsonl,
 )
 from conftest import random_graph, random_sequence
-from oracles import brute_force_roots, compound_edges
+from oracles import brute_force_roots, causal_past, compound_edges
 
 
 def root_of(graph):
