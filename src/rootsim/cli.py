@@ -230,8 +230,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if trials < 1:
         raise UsageError(f"{source} must be >= 1, got {trials}")
     base_seed = _int(cfg, "seed", 0)
-    passed, failures, crashes = 0, [], []
-    decision_offsets: list[int] = []
+    failures, crashes = [], []
+    margins: list[int] = []
     for i in range(trials):
         seed = base_seed + i
         try:
@@ -244,26 +244,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             crashes.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
             continue
         if verdict.ok:
-            passed += 1
             last_decision = max(r for _, r in verification.decisions_of(exec_))
-            decision_offsets.append(verdict.deadline - last_decision)
+            margins.append(verdict.deadline - last_decision)
         else:
             failures.append({"seed": seed, "verdict": verdict.to_json()})
     summary = {
         "trials": trials,
-        "passed": passed,
+        "passed": len(margins),
         "failed": len(failures),
         "crashed": len(crashes),
         "decision_margin": {
-            "min": min(decision_offsets) if decision_offsets else None,
-            "median": statistics.median(decision_offsets) if decision_offsets else None,
-            "max": max(decision_offsets) if decision_offsets else None,
+            "min": min(margins) if margins else None,
+            "median": statistics.median(margins) if margins else None,
+            "max": max(margins) if margins else None,
         },
         "failures": failures[:10],
         "crashes": crashes[:10],
     }
     print(json.dumps(summary, indent=2))
-    return 0 if passed == trials else 1
+    return 0 if len(margins) == trials else 1
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

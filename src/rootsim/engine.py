@@ -47,9 +47,10 @@ class EngineError(RuntimeError):
 
 class Algorithm(Protocol):
     """The behavior the engine drives. An instance holds only parameters,
-    so one instance can drive any number of executions. The only state
-    attribute the engine reads is `decision`: once it is not None, it is
-    final, and every later state of the process must carry it."""
+    so one instance can drive any number of executions. Every state has a
+    `decision` attribute, the only one the engine reads: None until the
+    process decides, then final, and every later state of the process
+    must carry it."""
 
     def initial_state(self, pid: int, x: int) -> Any: ...
 
@@ -202,8 +203,8 @@ def run(
                 raise
             except Exception as exc:  # pragma: no cover - contract breach path
                 raise EngineError(f"algorithm failed at round {r}, process {p}: {exc}") from exc
-            decision = getattr(old, "decision", None)
-            if decision is not None and getattr(new_state, "decision", None) != decision:
+            decision = old.decision
+            if decision is not None and new_state.decision != decision:
                 raise EngineError(f"process {p} revoked its decision at round {r}")
             states[p].append(new_state)
         lastrounds.append(views)

@@ -189,7 +189,8 @@ def star(center: int, n: int) -> CommGraph:
 
 @dataclass(frozen=True)
 class GraphSequence:
-    """A finite prefix of a communication-graph sequence, rounds 1..len."""
+    """A finite prefix of a communication-graph sequence, rounds 1..len;
+    the round-r graph is graphs[r-1]."""
 
     n: int
     graphs: tuple[CommGraph, ...] = field(default_factory=tuple)
@@ -204,12 +205,6 @@ class GraphSequence:
 
     def __iter__(self) -> Iterator[CommGraph]:
         return iter(self.graphs)
-
-    def graph(self, r: int) -> CommGraph:
-        """The round-r graph, rounds numbered from 1."""
-        if not (1 <= r <= len(self.graphs)):
-            raise GraphError(f"round {r} outside 1..{len(self.graphs)}")
-        return self.graphs[r - 1]
 
     @classmethod
     def with_roots(cls, n: int, graphs: Sequence[CommGraph], roots: Sequence[frozenset[int]]) -> "GraphSequence":

@@ -22,6 +22,12 @@ def random_sequence(rng: random.Random, n: int, rounds: int, density: float = 0.
     return GraphSequence(n, tuple(random_graph(rng, n, density) for _ in range(rounds)))
 
 
+class ProbeState(tuple):
+    """A (pid, input) pair that never decides."""
+
+    decision = None
+
+
 class Probe:
     """Minimal algorithm whose state is just its (pid, input); exposes a
     per-round hook so tests can interrogate live process views."""
@@ -30,7 +36,7 @@ class Probe:
         self.hook = hook
 
     def initial_state(self, pid: int, x: int):
-        return (pid, x)
+        return ProbeState((pid, x))
 
     def step(self, state, view: engine.ProcessView):
         if self.hook is not None:

@@ -171,7 +171,7 @@ class TestCompoundSequence:
         out = compound_sequence(seq)
         assert len(out) == 2
         expected = compound(star(0, 3), star(0, 3))
-        assert all(out.graph(r) == expected for r in (1, 2))
+        assert out.graphs == (expected, expected)
 
     def test_rooted_input_gives_nonsplit_output(self):
         for seed in range(200):
@@ -228,7 +228,7 @@ class TestGenerateStable:
         assert len(r1_root) == 1
         (anchor,) = r1_root
         assert anchor in seq.roots[1]
-        g2 = seq.graph(2)
+        g2 = seq.graphs[1]
         assert all((anchor, v) in g2.edges for v in range(5) if v != anchor)
 
     def test_deterministic(self):
@@ -290,6 +290,54 @@ class TestGenerateStable:
         monkeypatch.setattr(adversary, "check_diam", lambda seq, D: (False, {"window_start": 3}))
         with pytest.raises(GenerationError, match="diameter"):
             stable(4, 2, 3, 60, 9)
+
+    def test_last_redraw_broadcasts_and_meets_the_window(self, monkeypatch):
+        # A check that calls every window short until its newest round is
+        # a broadcast draw drives each window round through all its
+        # redraws. (A dense redraw can broadcast the root by chance, so
+        # the check asks how the graph was drawn, not what it holds.) The
+        # last redraw broadcasts, once per round, and the real check
+        # passes it, so generation needs no redraw after it.
+        n, D, x, a = 5, 3, 5, 6
+        short, draw = adversary._first_short, adversary._random_rooted_graph
+        broadcasts = []
+
+        def unless_broadcast(window, root_mask):
+            if not any(window[-1] is graph for _, graph in broadcasts):
+                return 0, 0
+            return short(window, root_mask)
+
+        def recording(rng, n, root, density, broadcast=False):
+            graph = draw(rng, n, root, density, broadcast)
+            if broadcast:
+                broadcasts.append((root, graph))
+            return graph
+
+        monkeypatch.setattr(adversary, "_first_short", unless_broadcast)
+        monkeypatch.setattr(adversary, "_random_rooted_graph", recording)
+        seq, (_, b, root) = generate_stable(n, D, x, a, 40, 0)
+        rounds = range(a + D - 1, b + 1)
+        assert all(adversary._is_broadcast_root(seq.graphs[r - 1], root) for r in rounds)
+        assert broadcasts == [(root, seq.graphs[r - 1]) for r in rounds]
+        monkeypatch.undo()
+        assert membership_report(seq, D, x)["member"]
+
+    def test_an_unpatched_draw_reaches_the_broadcast_redraw(self, monkeypatch):
+        # At n = 12, D = 2, seed 11, window round 12's first draw and its
+        # eight denser redraws all leave a process short, so the broadcast
+        # redraw is live code.
+        draw = adversary._random_rooted_graph
+        broadcasts = []
+
+        def recording(rng, n, root, density, broadcast=False):
+            if broadcast:
+                broadcasts.append(density)
+            return draw(rng, n, root, density, broadcast)
+
+        monkeypatch.setattr(adversary, "_random_rooted_graph", recording)
+        seq, window = generate_stable(12, 2, 3, 11, 20, 11)
+        assert broadcasts == [0.9]
+        assert membership_report(seq, 2, 3)["member"] and window[:2] == (11, 13)
 
     @pytest.mark.parametrize(
         "n,D,x,start,horizon",
@@ -430,11 +478,11 @@ class TestScenarios:
     def test_lossy_link(self):
         seq = scenario("lossy-link", horizon=50, seed=3)
         assert seq.n == 2
-        for r in range(1, 51):
-            edges = seq.graph(r).edges
-            assert len(edges) == 1 and edges <= {(0, 1), (1, 0)}
+        assert len(seq) == 50
+        for graph in seq.graphs:
+            assert len(graph.edges) == 1 and graph.edges <= {(0, 1), (1, 0)}
         # Both directions occur.
-        assert {next(iter(seq.graph(r).edges)) for r in range(1, 51)} == {(0, 1), (1, 0)}
+        assert {next(iter(graph.edges)) for graph in seq.graphs} == {(0, 1), (1, 0)}
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,25 @@ class TestDecideRule:
         mutated = run(algo, exec_.inputs, exec_.seq)
         assert not verification.locking_verdict(mutated, algo, window).termination
 
+    def test_exact_rule_strands_a_process_at_n_2(self):
+        # The word ><>>>> and then 12 rounds of <->, inputs (0, 1): the
+        # window is rounds 3..6, so unlike the window-at-round-one runs
+        # the shipped rule passes, both processes deciding 0 at round 14,
+        # before the deadline 16. The exact rule leaves process 0 undecided.
+        graphs = {">": g(2, [(0, 1)]), "<": g(2, [(1, 0)]), "=": g(2, [(0, 1), (1, 0)])}
+        seq = GraphSequence(2, tuple(graphs[c] for c in "><>>>>" + "=" * 12))
+        window = adversary.stable_window(seq, 2)
+        assert window == (3, 6, frozenset({0}))
+        shipped = LockingConsensus(N=2, D=1)
+        exec_ = run(shipped, [0, 1], seq)
+        verdict = verification.locking_verdict(exec_, shipped, window)
+        assert verdict.ok and verdict.deadline == 16
+        assert verification.decisions_of(exec_) == [(0, 14), (0, 14)]
+        exact = LockingConsensus(N=2, D=1, decide_rule="exact")
+        verdict = verification.locking_verdict(run(exact, [0, 1], seq), exact, window)
+        assert not verdict.termination and verdict.undecided == [0]
+        assert verdict.agreement and verdict.validity and not verdict.invariant_failures
+
 
 class TestMutations:
     def test_unanimous_adoption_is_load_bearing(self):

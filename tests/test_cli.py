@@ -70,6 +70,9 @@ class TestBadInput:
             ["run", "--n", "3", "--D", "0"],
             ["run"],
             ["run", "--algorithm", "voting", "--n", "1"],
+            ["scenario", "indist-a", "--n", "5", "--D", "2", "--horizon", "3"],
+            ["scenario", "indist-b", "--n", "6", "--D", "2", "--tau", "3", "--horizon", "9"],
+            ["scenario", "indist-b", "--n", "6", "--D", "2", "--tau", "6", "--horizon", "6"],
         ],
     )
     def test_exit_two_with_one_error_line(self, argv, capsys):
@@ -318,6 +321,25 @@ class TestValidate:
         assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "parse error" in err[0], err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty sequence file"),
+            (
+                '{"n": 2, "rounds": 3}\n{"round": 1, "edges": [[0, 1]]}\n{"round": 2, "edges": [[0, 1]]}\n',
+                "line 1: header says 3 rounds, file has 2",
+            ),
+        ],
+        ids=["empty", "short"],
+    )
+    def test_file_shape_error_exit_two(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        assert main(["validate", str(bad), "--D", "1", "--x", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and err.rstrip("\n").endswith(message), err
 
     def test_missing_file(self):
         assert main(["validate", "/nonexistent.jsonl", "--D", "1", "--x", "1"]) == 2

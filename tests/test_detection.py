@@ -108,7 +108,7 @@ class TestSoundness:
             est = collect_estimates(seq)
             for (p, s, r), root in est.items():
                 if root is not None:
-                    assert root in brute_force_roots(seq.graph(s))
+                    assert root in brute_force_roots(seq.graphs[s - 1])
 
 
 class TestCompleteness:
